@@ -51,6 +51,10 @@ class ModelParams:
     nu: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("hbar", "mass", "k", "nu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.hbar <= 0.0 or self.mass <= 0.0 or self.k <= 0.0:
             raise ValueError("hbar, mass and k must all be positive")
         if self.nu < 1.0:
@@ -103,6 +107,8 @@ def nu_from_v0(v0: float, epsilon: float) -> float:
     """Upper root of nu (nu - 1) = V0/eps; inverse of ``ModelParams.v0``."""
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not math.isfinite(v0):
+        raise ValueError(f"v0 must be finite, got {v0}")
     if v0 < 0.0:
         raise ValueError(f"v0 must be >= 0, got {v0}")
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * v0 / epsilon))

@@ -45,11 +45,8 @@ from .algebra import (
 from .opmat import (
     QuadratureOrderError,
     adjointness_residual,
-    assemble_b,
     bplus_second_form,
-    build_H,
-    build_P,
-    build_X,
+    build_X,  # noqa: F401  (perfbench/tests/test_spans.py patches it in this namespace)
     build_basis,
     build_su11,
     casimir_matrices,
@@ -59,6 +56,7 @@ from .opmat import (
     extended_algebra_residuals,
     grid_spectrum,
     identity,
+    operator_set,
     su11_ordering_residual,
     su11_residuals,
 )
@@ -146,14 +144,18 @@ class RunConfig:
     def __post_init__(self) -> None:
         if (self.nu is None) == (self.v0 is None):
             raise ValueError("exactly one of nu and v0 must be given")
+        for name in ("nu", "v0", "hbar", "mass", "k"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"--{name} must be a finite number, got {value}")
         if self.basis_size < 8:
             raise ValueError(f"basis size must be >= 8, got {self.basis_size}")
         if self.grid_points < 200:
             raise ValueError(f"grid points must be >= 200, got {self.grid_points}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.tolerance_scale <= 0.0:
-            raise ValueError("tolerance scale must be positive")
+        if not 0.0 < self.tolerance_scale < math.inf:
+            raise ValueError("--tolerance-scale must be positive and finite")
         if self.trust_margin < 0 or self.trust_margin >= self.basis_size - 1:
             raise ValueError("trust margin must leave a nonempty trusted block")
         params = self.params()  # validates nu / v0 ranges
@@ -347,11 +349,8 @@ def run_verification(config: RunConfig) -> VerificationReport:
     ))
 
     # --- operator layer ---------------------------------------------------
-    x_op = build_X(params, n_basis, rule)
-    p_op = build_P(params, n_basis, rule)
-    h_op = build_H(params, n_basis)
+    x_op, p_op, h_op, b_op, bplus_op = operator_set(params, n_basis, rule)
     one = identity(n_basis)
-    b_op, bplus_op = assemble_b(params, x_op, p_op, h_op)
 
     checks.append(("x_hermitian", x_op.hermiticity_residual(margin)))
     xt = x_op.trusted(margin)
@@ -541,11 +540,7 @@ def cmd_wavefunctions(config: RunConfig, n_max: int, samples: int) -> dict:
 
 def cmd_ladder(config: RunConfig, n_max: int) -> dict:
     params = config.params()
-    rule = config.quadrature(params)
-    x_op = build_X(params, config.basis_size, rule)
-    p_op = build_P(params, config.basis_size, rule)
-    h_op = build_H(params, config.basis_size)
-    b_op, _ = assemble_b(params, x_op, p_op, h_op)
+    b_op = operator_set(params, config.basis_size, config.quadrature(params)).b
     keep = config.basis_size - config.trust_margin
     recur = alpha_by_recursion(params, n_max)
     rows = []
@@ -571,13 +566,9 @@ def cmd_scan_limit(config: RunConfig, nu_values: list[float]) -> dict:
     rows = []
     for nu in nu_values:
         params = ModelParams(hbar=base.hbar, mass=base.mass, k=base.k, nu=nu)
-        rule = config.quadrature(params)
-        x_op = build_X(params, config.basis_size, rule)
-        p_op = build_P(params, config.basis_size, rule)
-        h_op = build_H(params, config.basis_size)
-        b_op, bplus_op = assemble_b(params, x_op, p_op, h_op)
+        ops = operator_set(params, config.basis_size, config.quadrature(params))
         f_diag = energy_diag(params, config.basis_size, f_of_uncorrected, label="f_unc(H)")
-        resid = commutator(b_op, bplus_op) + f_diag
+        resid = commutator(ops.b, ops.bplus) + f_diag
         diag = np.real(np.diag(resid.trusted(config.trust_margin)))
         strength = nu * (nu - 1.0)
         rows.append([
@@ -759,8 +750,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.subcommand == "scan-limit":
             nu_values = [float(s) for s in str(args.nu_list).split(",") if s.strip()]
-            if not nu_values or any(nu < 1.0 for nu in nu_values):
-                raise ValueError("--nu-list needs comma-separated values, each >= 1")
+            if not nu_values or not all(1.0 <= nu < math.inf for nu in nu_values):
+                raise ValueError("--nu-list needs comma-separated finite values, each >= 1")
             # scan-limit sweeps its own strengths; anchor the config at nu = 1
             config = RunConfig(**{**_base_kwargs(args), "nu": 1.0, "v0": None})
         else:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .algebra import (
     ModelParams,
@@ -29,9 +29,9 @@ from .algebra import (
 from .specfun import QuadratureRule
 from .wavefun import (
     Eigenfunction,
+    basis_table,
     build_eigenfunction,
     lowering_apply,
-    psi_deriv_value,
     psi_value,
     raising_apply,
 )
@@ -48,6 +48,8 @@ __all__ = [
     "build_P",
     "build_H",
     "assemble_b",
+    "OperatorSet",
+    "operator_set",
     "bplus_second_form",
     "commutator",
     "check_identity_12",
@@ -191,7 +193,7 @@ def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None
 def build_X(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorMatrix:
     """Matrix of X = sin(kx); real, symmetric, tridiagonal with zero diagonal."""
     _check_rule(params, n_basis, rule)
-    psi = np.array([psi_value(ef, rule.nodes) for ef in build_basis(params, n_basis)])
+    psi, _ = basis_table(params, n_basis, rule.nodes)
     s = np.sin(params.k * rule.nodes)
     data = (psi * (rule.weights * s)) @ psi.T
     return OperatorMatrix(data.astype(complex), n_basis, trust_margin=0, bandwidth=1, label="X")
@@ -206,9 +208,7 @@ def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> Operator
     Hermiticity at 1e-8, which signals an inadequate rule.
     """
     _check_rule(params, n_basis, rule)
-    efs = build_basis(params, n_basis)
-    psi = np.array([psi_value(ef, rule.nodes) for ef in efs])
-    dpsi = np.array([psi_deriv_value(ef, rule.nodes) for ef in efs])
+    psi, dpsi = basis_table(params, n_basis, rule.nodes)
     s = np.sin(params.k * rule.nodes)
     c = np.cos(params.k * rule.nodes)
     hbar, k = params.hbar, params.k
@@ -241,6 +241,26 @@ def assemble_b(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,
     d1 = diag_operator(eps + 2.0 * _sqrt_eh(params, n_basis), n_basis, label="eps+2sqrt(eps H)")
     b = ((X @ d1 + (1j * params.hbar / params.mass) * P) * (0.5 / eps)).relabeled("b")
     return b, b.adjoint().relabeled("b+")
+
+
+class OperatorSet(NamedTuple):
+    """X, P, H and the ladder pair on one truncated tower."""
+
+    X: OperatorMatrix
+    P: OperatorMatrix
+    H: OperatorMatrix
+    b: OperatorMatrix
+    bplus: OperatorMatrix
+
+
+def operator_set(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorSet:
+    """Build X and P by quadrature with ``rule``, H from the spectrum, and
+    b, b+ from those three."""
+    x_op = build_X(params, n_basis, rule)
+    p_op = build_P(params, n_basis, rule)
+    h_op = build_H(params, n_basis)
+    b_op, bplus_op = assemble_b(params, x_op, p_op, h_op)
+    return OperatorSet(x_op, p_op, h_op, b_op, bplus_op)
 
 
 def bplus_second_form(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,
@@ -408,6 +428,10 @@ def build_grid_hamiltonian(params: ModelParams, m_points: int) -> GridOperator:
 
 def grid_spectrum(params: ModelParams, m_points: int, n_levels: int) -> np.ndarray:
     """Lowest n_levels eigenvalues of the grid Hamiltonian, increasing."""
+    # imported here: scipy.linalg adds about 0.3 s and 27 MB to start-up,
+    # and only the grid oracle needs it
+    from scipy.linalg import eigh_tridiagonal
+
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     if n_levels > m_points:

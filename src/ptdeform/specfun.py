@@ -10,6 +10,7 @@ polynomial factor of the bound states.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -257,13 +258,23 @@ def gauss_legendre(q: int, a: float, b: float) -> QuadratureRule:
 
     Nodes are Newton-refined roots of the Legendre polynomial P_q,
     iterated until the update falls below 1e-15, then symmetrized about
-    the midpoint so parity cancellations are exact.
+    the midpoint so parity cancellations are exact.  The rule on [-1, 1]
+    is computed once per order and mapped onto ``(a, b)`` on every call.
     """
     if q < 1:
         raise ValueError(f"quadrature order must be >= 1, got {q}")
     if not a < b:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
+    z, w = _legendre_rule(q)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return QuadratureRule(nodes=mid + half * z, weights=half * w, interval=(a, b))
 
+
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted nodes and weights of the q-point rule on [-1, 1], read-only
+    because every caller shares them."""
     z = np.cos(np.pi * (np.arange(q) + 0.75) / (q + 0.5))
     dp = np.ones_like(z)
     for _ in range(100):
@@ -291,10 +302,9 @@ def gauss_legendre(q: int, a: float, b: float) -> QuadratureRule:
     w = 0.5 * (w + w[::-1])
     order = np.argsort(z)
     z, w = z[order], w[order]
-
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return QuadratureRule(nodes=mid + half * z, weights=half * w, interval=(a, b))
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, w
 
 
 def poly_ladder_step(phi: Polynomial, n: int, nu: float) -> Polynomial:

@@ -36,6 +36,7 @@ __all__ = [
     "build_eigenfunction",
     "psi_value",
     "psi_deriv_value",
+    "basis_table",
     "psi_second_deriv_value",
     "psi_value_legendre",
     "lowering_apply",
@@ -197,6 +198,31 @@ def psi_deriv_value(ef: Eigenfunction, x):
     s, c = _trig(p, x)
     bracket = (1.0 - s * s) * _phi_at(ef, s, 1) - p.nu * s * _phi_at(ef, s)
     return _shape(p.k * c ** (p.nu - 1.0) * bracket, x)
+
+
+def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """psi_n and psi_n' for n = 0 .. n_basis-1 at the 1-d array ``nodes``,
+    one row per level.
+
+    The whole closed-form tower in two recurrence passes, one Gegenbauer
+    row of index nu for the values and one of index nu+1 for the
+    derivatives, each scaled by the vector of N_n: O(n_basis * len(nodes))
+    in place of one recurrence per state.  The arithmetic is the same, in
+    the same order, as `psi_value` and `psi_deriv_value` on the states of
+    `build_eigenfunction`, so the rows agree with those to the bit.
+    """
+    if n_basis < 1:
+        raise ValueError(f"basis size must be >= 1, got {n_basis}")
+    nu = params.nu
+    s, c = _trig(params, nodes)
+    norms = np.array([norm_n(params, n) for n in range(n_basis)])
+    phi = norms[:, None] * gegenbauer_row(n_basis - 1, nu, s)
+    dphi = np.zeros_like(phi)
+    if n_basis >= 2:
+        dphi[1:] = (norms[1:] * (2.0 * nu))[:, None] * gegenbauer_row(n_basis - 2, nu + 1.0, s)
+    psi = c**nu * phi
+    dpsi = params.k * c ** (nu - 1.0) * ((1.0 - s * s) * dphi - nu * s * phi)
+    return psi, dpsi
 
 
 def psi_second_deriv_value(ef: Eigenfunction, x):

@@ -60,6 +60,10 @@ def test_params_validation():
         ModelParams(mass=-1.0)
     with pytest.raises(ValueError):
         ModelParams(k=0.0)
+    for field in ("hbar", "mass", "k", "nu"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=field):
+                ModelParams(**{field: bad})
 
 
 def test_strength_and_v0():
@@ -76,6 +80,9 @@ def test_nu_from_v0_known_point():
         nu_from_v0(-0.5, 1.0)
     with pytest.raises(ValueError):
         nu_from_v0(1.0, 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="v0"):
+            nu_from_v0(bad, 1.0)
 
 
 def test_from_v0_roundtrip():

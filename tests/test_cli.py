@@ -68,6 +68,14 @@ def test_exactly_one_strength_parameter():
         {"nu": 0.5},
         {"v0": -1.0},
         {"nu": 2.0, "quadrature_order": 50},
+        {"nu": math.inf},
+        {"nu": math.nan},
+        {"v0": math.inf},
+        {"nu": 2.0, "hbar": math.nan},
+        {"nu": 2.0, "mass": math.inf},
+        {"nu": 2.0, "k": math.inf},
+        {"nu": 2.0, "tolerance_scale": math.nan},
+        {"nu": 2.0, "tolerance_scale": math.inf},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -333,6 +341,27 @@ def test_main_tolerance_scale_can_mask(tmp_path):
 def test_main_usage_errors(argv, capsys):
     assert main(argv) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--nu", "inf"], "--nu"),
+        (["verify", "--nu", "nan"], "--nu"),
+        (["verify", "--v0", "inf"], "--v0"),
+        (["verify", "--nu", "2", "--hbar", "nan"], "--hbar"),
+        (["verify", "--nu", "2", "--mass", "nan"], "--mass"),
+        (["verify", "--nu", "2", "--k", "inf"], "--k"),
+        (["verify", "--nu", "2", "--tolerance-scale", "nan"], "--tolerance-scale"),
+        (["scan-limit", "--nu-list", "2,nan"], "--nu-list"),
+        (["scan-limit", "--nu-list", "inf"], "--nu-list"),
+    ],
+)
+def test_main_rejects_non_finite_input(argv, flag, capsys):
+    # an exception escaping main would be the traceback the user sees
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "finite" in err
 
 
 def test_main_unwritable_output():

@@ -24,11 +24,9 @@ from ptdeform.opmat import (
     OperatorMatrix,
     QuadratureOrderError,
     adjointness_residual,
-    assemble_b,
     bplus_second_form,
     build_basis,
     build_grid_hamiltonian,
-    build_H,
     build_P,
     build_su11,
     build_X,
@@ -41,10 +39,12 @@ from ptdeform.opmat import (
     extended_algebra_residuals,
     grid_spectrum,
     identity,
+    operator_set,
     su11_ordering_residual,
     su11_residuals,
 )
 from ptdeform.specfun import gauss_legendre
+from ptdeform.wavefun import build_eigenfunction, psi_deriv_value, psi_value
 
 N = 30
 MARGIN = 4
@@ -52,16 +52,11 @@ NU_SET = [1.0, 1.5, 2.0, 3.7]
 
 
 @functools.lru_cache(maxsize=None)
-def operator_set(nu: float):
-    """X, P, H, b, b+ at basis size N (cached: every test shares them)."""
+def operators(nu: float):
+    """params, rule, X, P, H, b, b+ at basis size N (cached: every test shares them)."""
     params = ModelParams(nu=nu)
-    a, b = params.box
-    rule = gauss_legendre(2 * N + 60, a, b)
-    x_op = build_X(params, N, rule)
-    p_op = build_P(params, N, rule)
-    h_op = build_H(params, N)
-    b_op, bplus_op = assemble_b(params, x_op, p_op, h_op)
-    return params, rule, x_op, p_op, h_op, b_op, bplus_op
+    rule = gauss_legendre(2 * N + 60, *params.box)
+    return (params, rule, *operator_set(params, N, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +147,28 @@ def test_rule_interval_must_match_box():
         build_X(params, N, gauss_legendre(2 * N + 60, -1.0, 1.0))
 
 
+@pytest.mark.parametrize("nu", [1.0, 3.7])
+@pytest.mark.parametrize("n_basis", [30, 120])
+def test_x_and_p_are_the_per_state_quadrature(n_basis, nu):
+    # reference: one psi_value / psi_deriv_value evaluation per state
+    params = ModelParams(nu=nu)
+    rule = gauss_legendre(2 * n_basis + 60, *params.box)
+    efs = [build_eigenfunction(params, n) for n in range(n_basis)]
+    psi = np.array([psi_value(ef, rule.nodes) for ef in efs])
+    dpsi = np.array([psi_deriv_value(ef, rule.nodes) for ef in efs])
+    s = np.sin(params.k * rule.nodes)
+    c = np.cos(params.k * rule.nodes)
+    hbar, k = params.hbar, params.k
+    x_ref = (psi * (rule.weights * s)) @ psi.T
+    pvals = -1j * hbar * k * c * dpsi + 0.5j * hbar * k**2 * s * psi
+    p_ref = (psi * rule.weights) @ pvals.T
+    assert np.array_equal(build_X(params, n_basis, rule).data, x_ref.astype(complex))
+    assert np.array_equal(build_P(params, n_basis, rule).data, p_ref)
+
+
 @pytest.mark.parametrize("nu", NU_SET)
 def test_x_matrix_closed_form(nu):
-    _, _, x_op, _, _, _, _ = operator_set(nu)
+    _, _, x_op, _, _, _, _ = operators(nu)
     n = np.arange(N - 1)
     closed = np.sqrt((n + 1) * (n + 2 * nu)) / (2.0 * np.sqrt((n + nu) * (n + nu + 1)))
     band = np.diag(closed, 1) + np.diag(closed, -1)
@@ -164,7 +178,7 @@ def test_x_matrix_closed_form(nu):
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_p_matrix_closed_form(nu):
-    params, _, x_op, p_op, _, _, _ = operator_set(nu)
+    params, _, x_op, p_op, _, _, _ = operators(nu)
     n = np.arange(N - 1)
     x_band = np.sqrt((n + 1) * (n + 2 * nu)) / (2.0 * np.sqrt((n + nu) * (n + nu + 1)))
     p_band = -1j * (params.hbar * params.k**2 / 2.0) * (2.0 * (n + nu) + 1.0) * x_band
@@ -174,12 +188,12 @@ def test_p_matrix_closed_form(nu):
 
 
 def test_x01_reference_value():
-    _, _, x_op, _, _, _, _ = operator_set(2.0)
+    _, _, x_op, _, _, _, _ = operators(2.0)
     assert x_op.data[0, 1].real == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-12)
 
 
 def test_h_is_the_spectrum():
-    params, _, _, _, h_op, _, _ = operator_set(1.5)
+    params, _, _, _, h_op, _, _ = operators(1.5)
     np.testing.assert_allclose(
         np.diag(h_op.data).real, [energy(params, n) for n in range(N)], rtol=1e-15
     )
@@ -192,7 +206,7 @@ def test_h_is_the_spectrum():
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_x_p_commutator(nu):
-    params, _, x_op, p_op, _, _, _ = operator_set(nu)
+    params, _, x_op, p_op, _, _, _ = operators(nu)
     one = identity(N)
     rhs = (1j * params.hbar * params.k**2) * (one - x_op @ x_op)
     assert (commutator(x_op, p_op) - rhs).max_abs(MARGIN) < 1e-9
@@ -200,14 +214,14 @@ def test_x_p_commutator(nu):
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_h_x_commutator(nu):
-    params, _, x_op, p_op, h_op, _, _ = operator_set(nu)
+    params, _, x_op, p_op, h_op, _, _ = operators(nu)
     rhs = (-1j * params.hbar / params.mass) * p_op
     assert (commutator(h_op, x_op) - rhs).max_abs(MARGIN) < 1e-9
 
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_h_p_commutator(nu):
-    params, _, x_op, p_op, h_op, _, _ = operator_set(nu)
+    params, _, x_op, p_op, h_op, _, _ = operators(nu)
     eps = params.epsilon
     rhs = (1j * params.hbar * params.k**2) * (
         2.0 * (x_op @ h_op) - 0.5 * eps * x_op
@@ -222,7 +236,7 @@ def test_h_p_commutator(nu):
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_b_is_strictly_lowering(nu):
-    params, _, _, _, _, b_op, _ = operator_set(nu)
+    params, _, _, _, _, b_op, _ = operators(nu)
     block = b_op.trusted(MARGIN)
     keep = N - MARGIN
     for n in range(1, min(25, keep - 1) + 1):
@@ -236,14 +250,14 @@ def test_b_is_strictly_lowering(nu):
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_bplus_second_form_agrees_with_adjoint(nu):
-    params, _, x_op, p_op, h_op, _, bplus_op = operator_set(nu)
+    params, _, x_op, p_op, h_op, _, bplus_op = operators(nu)
     other = bplus_second_form(params, x_op, p_op, h_op)
     assert (other - bplus_op).max_abs(MARGIN) < 1e-8
 
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_h_b_grading_commutators(nu):
-    params, _, _, _, h_op, b_op, bplus_op = operator_set(nu)
+    params, _, _, _, h_op, b_op, bplus_op = operators(nu)
     from ptdeform.algebra import g_of
 
     g_diag = energy_diag(params, N, g_of)
@@ -253,7 +267,7 @@ def test_h_b_grading_commutators(nu):
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_corrected_commutator_closes(nu):
-    params, _, _, _, _, b_op, bplus_op = operator_set(nu)
+    params, _, _, _, _, b_op, bplus_op = operators(nu)
     f_diag = energy_diag(params, N, f_of)
     assert (commutator(b_op, bplus_op) + f_diag).max_abs(MARGIN) < 1e-8
 
@@ -263,7 +277,7 @@ def test_uncorrected_commutator_defect_profile(nu):
     # The defect of the undeformed f is largest at the bottom of the
     # tower, where it equals 1 for every nu -- including nu = 1, whose
     # ground level never loses the deformation.
-    params, _, _, _, _, b_op, bplus_op = operator_set(nu)
+    params, _, _, _, _, b_op, bplus_op = operators(nu)
     f_diag = energy_diag(params, N, f_of_uncorrected)
     resid = commutator(b_op, bplus_op) + f_diag
     diag = np.real(np.diag(resid.trusted(MARGIN)))
@@ -279,7 +293,7 @@ def test_uncorrected_commutator_defect_profile(nu):
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_strength_operator_identity(nu):
-    params, _, x_op, p_op, h_op, _, _ = operator_set(nu)
+    params, _, x_op, p_op, h_op, _, _ = operators(nu)
     assert check_identity_12(params, x_op, p_op, h_op, MARGIN) < 1e-8
 
 
@@ -289,7 +303,7 @@ def test_strength_operator_identity(nu):
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_casimir_is_constant(nu):
-    params, _, _, _, _, b_op, bplus_op = operator_set(nu)
+    params, _, _, _, _, b_op, bplus_op = operators(nu)
     c1, c2 = casimir_matrices(params, b_op, bplus_op)
     target = -params.strength() * identity(N)
     assert (c1 - target).max_abs(MARGIN) < 1e-8
@@ -300,7 +314,7 @@ def test_casimir_is_constant(nu):
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_extended_algebra(nu):
-    params, _, _, _, h_op, b_op, bplus_op = operator_set(nu)
+    params, _, _, _, h_op, b_op, bplus_op = operators(nu)
     residuals = extended_algebra_residuals(params, b_op, bplus_op, h_op, MARGIN)
     assert set(residuals) == {
         "extended_commutes_h",
@@ -314,7 +328,7 @@ def test_extended_algebra(nu):
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_su11_defining_relations(nu):
-    params, _, _, _, h_op, b_op, bplus_op = operator_set(nu)
+    params, _, _, _, h_op, b_op, bplus_op = operators(nu)
     j0, jp, jm = build_su11(params, b_op, bplus_op, h_op)
     residuals = su11_residuals(params, j0, jp, jm, MARGIN)
     assert max(residuals.values()) < 1e-8
@@ -322,7 +336,7 @@ def test_su11_defining_relations(nu):
 
 
 def test_su11_jplus_reference_entry():
-    params, _, _, _, h_op, b_op, bplus_op = operator_set(2.0)
+    params, _, _, _, h_op, b_op, bplus_op = operators(2.0)
     _, jp, _ = build_su11(params, b_op, bplus_op, h_op)
     assert jp.data[1, 0].real == pytest.approx(2.0, abs=1e-9)  # sqrt((0+1)(0+4))
 
@@ -333,13 +347,13 @@ def test_su11_jplus_reference_entry():
 
 @pytest.mark.parametrize("nu", [1.5, 3.7])
 def test_ladder_forms_are_adjoint_under_quadrature(nu):
-    params, rule, *_ = operator_set(nu)
+    params, rule, *_ = operators(nu)
     efs = build_basis(params, 21)
     assert adjointness_residual(params, efs, rule) < 1e-10
 
 
 def test_adjointness_requires_states():
-    params, rule, *_ = operator_set(1.5)
+    params, rule, *_ = operators(1.5)
     with pytest.raises(ValueError):
         adjointness_residual(params, [], rule)
 

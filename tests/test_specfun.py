@@ -21,6 +21,7 @@ from ptdeform.specfun import (
     gegenbauer_row,
     log_gamma,
     poly_ladder_step,
+    _legendre_rule,
 )
 
 NU_GRID = [0.6, 1.0, 1.5, 2.0, 3.7]
@@ -234,6 +235,19 @@ def test_gauss_legendre_integrates_monomials_exactly(q, j):
     rule = gauss_legendre(q, -1.0, 1.0)
     exact = 0.0 if j % 2 else 2.0 / (j + 1)
     assert rule.integrate(lambda t: t**j) == pytest.approx(exact, abs=5e-14)
+
+
+def test_gauss_legendre_cached_rule_is_shared_read_only():
+    # each rule owns fresh arrays; the cached rule on [-1, 1] they are mapped
+    # from is read-only and equal to an uncached computation
+    first = gauss_legendre(40, -1.0, 1.0)
+    first.nodes[:] = 0.0
+    second = gauss_legendre(40, -1.0, 1.0)
+    z, w = _legendre_rule(40)
+    assert not (z.flags.writeable or w.flags.writeable)
+    fresh_z, fresh_w = _legendre_rule.__wrapped__(40)
+    assert np.array_equal(z, fresh_z) and np.array_equal(w, fresh_w)
+    assert np.array_equal(second.nodes, z) and np.array_equal(second.weights, w)
 
 
 def test_gauss_legendre_mapped_interval():

@@ -21,6 +21,7 @@ import pytest
 from ptdeform.algebra import ModelParams, alpha, energy
 from ptdeform.specfun import gauss_legendre
 from ptdeform.wavefun import (
+    basis_table,
     build_eigenfunction,
     chebyshev_points,
     gram_matrix,
@@ -189,6 +190,26 @@ def test_legendre_route_agrees(nu):
 def test_legendre_route_validation():
     with pytest.raises(ValueError):
         psi_value_legendre(ModelParams(nu=2.0), -1, 0.0)
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 50.0])
+@pytest.mark.parametrize("n_basis", [1, 2, 30, 120])
+def test_basis_table_is_the_per_state_stack(n_basis, nu):
+    # n_basis = 1 leaves the nu+1 derivative row empty; psi_0' must still match
+    p = ModelParams(nu=nu)
+    nodes = rule_for(p, n_basis).nodes
+    psi, dpsi = basis_table(p, n_basis, nodes)
+    efs = [build_eigenfunction(p, n) for n in range(n_basis)]
+    assert np.array_equal(psi, np.array([psi_value(ef, nodes) for ef in efs]))
+    assert np.array_equal(dpsi, np.array([psi_deriv_value(ef, nodes) for ef in efs]))
+
+
+def test_basis_table_validation():
+    p = ModelParams(nu=2.0)
+    with pytest.raises(ValueError):
+        basis_table(p, 0, np.array([0.1]))
+    with pytest.raises(ValueError):
+        basis_table(p, 3, np.array([0.1, math.pi / 2]))
 
 
 @pytest.mark.parametrize("nu", NU_SET)
