@@ -20,7 +20,7 @@ nu(nu-1) -- f at the ground energy and the coefficient recursion at n = 1
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "ModelParams",
@@ -59,6 +59,15 @@ class ModelParams:
             raise ValueError("hbar, mass and k must all be positive")
         if self.nu < 1.0:
             raise ValueError(f"nu must satisfy nu >= 1, got {self.nu}")
+        try:
+            eps = self.epsilon
+        except OverflowError:  # float ** raises where * returns inf
+            eps = math.inf
+        if not 0.0 < eps < math.inf:
+            raise ValueError(
+                f"epsilon = hbar^2 k^2 / 2m must be positive and finite, got {eps} "
+                f"(hbar={self.hbar}, mass={self.mass}, k={self.k})"
+            )
 
     @property
     def epsilon(self) -> float:
@@ -86,8 +95,8 @@ class ModelParams:
 
     @classmethod
     def from_v0(cls, v0: float, hbar: float = 1.0, mass: float = 0.5, k: float = 1.0) -> "ModelParams":
-        eps = hbar**2 * k**2 / (2.0 * mass)
-        return cls(hbar=hbar, mass=mass, k=k, nu=nu_from_v0(v0, eps))
+        units = cls(hbar=hbar, mass=mass, k=k)
+        return replace(units, nu=nu_from_v0(v0, units.epsilon))
 
     def strength(self) -> float:
         """The combination nu (nu - 1); exactly 0.0 at nu = 1."""

@@ -43,7 +43,6 @@ from .algebra import (
     su11_matrix_elements,
 )
 from .opmat import (
-    QuadratureOrderError,
     adjointness_residual,
     bplus_second_form,
     build_X,  # noqa: F401  (perfbench/tests/test_spans.py patches it in this namespace)
@@ -723,8 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    # scan-limit has no --nu/--v0 because it sweeps its own strengths; its
+    # config is anchored at nu = 1
     return RunConfig(
-        nu=getattr(args, "nu", None),
+        nu=getattr(args, "nu", 1.0),
         v0=getattr(args, "v0", None),
         hbar=args.hbar,
         mass=args.mass,
@@ -752,51 +753,37 @@ def main(argv: list[str] | None = None) -> int:
             nu_values = [float(s) for s in str(args.nu_list).split(",") if s.strip()]
             if not nu_values or not all(1.0 <= nu < math.inf for nu in nu_values):
                 raise ValueError("--nu-list needs comma-separated finite values, each >= 1")
-            # scan-limit sweeps its own strengths; anchor the config at nu = 1
-            config = RunConfig(**{**_base_kwargs(args), "nu": 1.0, "v0": None})
-        else:
-            config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"ptdeform: error: {exc}", file=sys.stderr)
-        return 1
+        n_max = getattr(args, "n_max", 0)
+        if n_max < 0:
+            raise ValueError(f"--n-max must be >= 0, got {n_max}")
+        config = _config_from_args(args)
 
-    try:
         if args.subcommand == "verify":
             report = run_verification(config)
             text = render_payload(report.to_dict(), config.output_format)
             _write_output(text, config.out_path)
             return 0 if report.overall_pass else 2
         if args.subcommand == "spectrum":
-            payload = cmd_spectrum(config, args.n_max)
+            payload = cmd_spectrum(config, n_max)
         elif args.subcommand == "wavefunctions":
-            payload = cmd_wavefunctions(config, args.n_max, args.samples)
+            payload = cmd_wavefunctions(config, n_max, args.samples)
         elif args.subcommand == "ladder":
-            payload = cmd_ladder(config, args.n_max)
+            payload = cmd_ladder(config, n_max)
         else:
             payload = cmd_scan_limit(config, nu_values)
         _write_output(render_payload(payload, config.output_format), config.out_path)
         return 0
-    except (ValueError, QuadratureOrderError) as exc:
+    except ValueError as exc:  # includes QuadratureOrderError
         print(f"ptdeform: error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # finite input whose intermediate values leave double range
+        print(f"ptdeform: error: input out of numerical range ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"ptdeform: i/o error: {exc}", file=sys.stderr)
         return 3
-
-
-def _base_kwargs(args: argparse.Namespace) -> dict:
-    return {
-        "hbar": args.hbar,
-        "mass": args.mass,
-        "k": args.k,
-        "basis_size": args.basis_size,
-        "quadrature_order": args.quadrature_order,
-        "grid_points": args.grid_points,
-        "output_format": args.format,
-        "out_path": args.out,
-        "use_uncorrected_f": args.use_uncorrected_f,
-        "tolerance_scale": args.tolerance_scale,
-    }
 
 
 def console_main() -> None:

@@ -76,12 +76,13 @@ class OperatorMatrix:
     ``trust_margin`` counts trailing rows/columns whose entries may be
     corrupted by basis truncation; ``bandwidth`` is how far the operator
     couples |n> to |n +- bandwidth|, used to grow the margin of products.
+    A bandwidth left unset is the full width N - 1.
     """
 
     data: np.ndarray
     basis_size: int
     trust_margin: int = 0
-    bandwidth: int = 0
+    bandwidth: int | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -90,7 +91,13 @@ class OperatorMatrix:
         if d.shape != (n, n):
             raise ValueError(f"expected a {n} x {n} matrix, got shape {d.shape}")
         object.__setattr__(self, "data", d)
-        object.__setattr__(self, "bandwidth", min(self.bandwidth, n - 1))
+        width = n - 1 if self.bandwidth is None else min(self.bandwidth, n - 1)
+        object.__setattr__(self, "bandwidth", width)
+
+    def _is_diagonal(self) -> bool:
+        """Declared diagonal and exactly zero off the diagonal."""
+        return (self.bandwidth == 0
+                and np.count_nonzero(self.data) == np.count_nonzero(self.data.diagonal()))
 
     def relabeled(self, label: str) -> "OperatorMatrix":
         return replace(self, label=label)
@@ -120,18 +127,21 @@ class OperatorMatrix:
         if self.basis_size != other.basis_size:
             raise ValueError("operands act on different basis sizes")
 
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+    def _elementwise(self, other: "OperatorMatrix", ufunc, symbol: str) -> "OperatorMatrix":
         self._require_same_basis(other)
         return OperatorMatrix(
-            data=self.data + other.data,
+            data=ufunc(self.data, other.data),
             basis_size=self.basis_size,
             trust_margin=max(self.trust_margin, other.trust_margin),
             bandwidth=max(self.bandwidth, other.bandwidth),
-            label=f"({self.label} + {other.label})",
+            label=f"({self.label} {symbol} {other.label})",
         )
 
+    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        return self._elementwise(other, np.add, "+")
+
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return (self + (-other)).relabeled(f"({self.label} - {other.label})")
+        return self._elementwise(other, np.subtract, "-")
 
     def __neg__(self) -> "OperatorMatrix":
         return replace(self, data=-self.data, label=f"(-{self.label})")
@@ -143,12 +153,21 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_same_basis(other)
+        # A diagonal factor scales rows or columns in O(N^2).  Each entry of
+        # the dense product is then one nonzero term plus exact zeros, so for
+        # real diagonals and finite data the result is the same to the bit.
+        if self._is_diagonal():
+            data = self.data.diagonal()[:, None] * other.data
+        elif other._is_diagonal():
+            data = self.data * other.data.diagonal()
+        else:
+            data = self.data @ other.data
         # Truncation corrupts the product only where the summed-over index
         # can reach the edge through either factor's band, so the margin
         # grows by the narrower bandwidth.
         margin = max(self.trust_margin, other.trust_margin) + min(self.bandwidth, other.bandwidth)
         return OperatorMatrix(
-            data=self.data @ other.data,
+            data=data,
             basis_size=self.basis_size,
             trust_margin=margin,
             bandwidth=self.bandwidth + other.bandwidth,
@@ -157,7 +176,7 @@ class OperatorMatrix:
 
 
 def identity(n_basis: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(n_basis, dtype=complex), n_basis, label="1")
+    return OperatorMatrix(np.eye(n_basis, dtype=complex), n_basis, bandwidth=0, label="1")
 
 
 def diag_operator(values, n_basis: int, label: str = "diag") -> OperatorMatrix:

@@ -64,6 +64,12 @@ def test_params_validation():
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=field):
                 ModelParams(**{field: bad})
+    # finite constants whose energy scale leaves double range
+    for units in ({"hbar": 1e200}, {"k": 1e200}, {"mass": 1e-320}, {"hbar": 1e-200}):
+        with pytest.raises(ValueError, match="epsilon"):
+            ModelParams(**units)
+        with pytest.raises(ValueError, match="epsilon"):
+            ModelParams.from_v0(2.0, **units)
 
 
 def test_strength_and_v0():

@@ -355,6 +355,12 @@ def test_main_usage_errors(argv, capsys):
         (["verify", "--nu", "2", "--tolerance-scale", "nan"], "--tolerance-scale"),
         (["scan-limit", "--nu-list", "2,nan"], "--nu-list"),
         (["scan-limit", "--nu-list", "inf"], "--nu-list"),
+        # finite flags whose energy scale overflows or underflows
+        (["verify", "--nu", "2", "--hbar", "1e200"], "epsilon"),
+        (["verify", "--nu", "2", "--k", "1e200"], "epsilon"),
+        (["verify", "--v0", "2", "--hbar", "1e200"], "epsilon"),
+        (["verify", "--nu", "2", "--hbar", "1e-200"], "epsilon"),
+        (["spectrum", "--nu", "2", "--hbar", "1e170"], "epsilon"),
     ],
 )
 def test_main_rejects_non_finite_input(argv, flag, capsys):
@@ -362,6 +368,24 @@ def test_main_rejects_non_finite_input(argv, flag, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert flag in err and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["wavefunctions", "--nu", "2", "--n-max", "-1"], "--n-max"),
+        (["spectrum", "--nu", "2", "--n-max", "-1"], "--n-max"),
+        (["ladder", "--nu", "2", "--n-max", "-1"], "--n-max"),
+        # finite input that overflows deeper in: caught in main, no traceback
+        (["verify", "--nu", "2", "--mass", "1e-300"], "out of numerical range"),
+        (["wavefunctions", "--nu", "1e10", "--n-max", "0", "--samples", "1"],
+         "out of numerical range"),
+    ],
+)
+def test_main_rejects_out_of_range_input(argv, needle, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert needle in captured.err and captured.out == ""
 
 
 def test_main_unwritable_output():

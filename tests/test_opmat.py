@@ -52,11 +52,11 @@ NU_SET = [1.0, 1.5, 2.0, 3.7]
 
 
 @functools.lru_cache(maxsize=None)
-def operators(nu: float):
-    """params, rule, X, P, H, b, b+ at basis size N (cached: every test shares them)."""
+def operators(nu: float, n_basis: int = N):
+    """params, rule, X, P, H, b, b+ at basis size n_basis (cached: every test shares them)."""
     params = ModelParams(nu=nu)
-    rule = gauss_legendre(2 * N + 60, *params.box)
-    return (params, rule, *operator_set(params, N, rule))
+    rule = gauss_legendre(2 * n_basis + 60, *params.box)
+    return (params, rule, *operator_set(params, n_basis, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +86,42 @@ def test_product_margin_rule():
     ab = a @ b
     assert ab.trust_margin == 2
     assert ab.bandwidth == 3
-    s = a + b
-    assert s.trust_margin == 1
-    assert s.bandwidth == 2
+    for s in (a + b, a - b):
+        assert s.trust_margin == 1
+        assert s.bandwidth == 2
+    # the same rule holds when a factor is diagonal and takes the scaling path
+    d = OperatorMatrix(np.diag(np.arange(1.0, 7.0)), 6, trust_margin=2, bandwidth=0)
+    for prod in (d @ b, b @ d):
+        assert (prod.trust_margin, prod.bandwidth) == (2, 1)
+    assert ((d @ d).trust_margin, (d @ d).bandwidth) == (2, 0)
+    # a matrix built without a bandwidth couples everything
+    full = OperatorMatrix(np.ones((6, 6)), 6)
+    assert full.bandwidth == 5
+    assert ((full @ b).trust_margin, (full @ b).bandwidth) == (1, 5)
 
 
 def test_bandwidth_capped_at_size():
     op = OperatorMatrix(np.eye(3), 3, bandwidth=17)
     assert op.bandwidth == 2
+
+
+@pytest.mark.parametrize("n_basis", [30, 120])
+@pytest.mark.parametrize(
+    "left, right",
+    [("H", "X"), ("H", "P"), ("H", "b"), ("X", "H"), ("P", "H"), ("b", "H"), ("H", "H")],
+)
+def test_products_with_a_diagonal_factor_match_dense(left, right, n_basis):
+    _, _, x_op, p_op, h_op, b_op, _ = operators(3.7, n_basis)
+    ops = {"X": x_op, "P": p_op, "H": h_op, "b": b_op}
+    a, b = ops[left], ops[right]
+    assert np.array_equal((a @ b).data, a.data @ b.data)
+
+
+def test_dense_matrix_declared_diagonal_multiplies_densely():
+    _, _, x_op, p_op, _, _, _ = operators(3.7)
+    mislabeled = OperatorMatrix(x_op.data, N, bandwidth=0)
+    assert np.array_equal((mislabeled @ p_op).data, x_op.data @ p_op.data)
+    assert np.array_equal((p_op @ mislabeled).data, p_op.data @ x_op.data)
 
 
 def test_adjoint_and_scalar_ops():
@@ -125,6 +153,7 @@ def test_diag_helpers():
     np.testing.assert_allclose(np.diag(e.data).real, [8.0, 18.0, 32.0])
     one = identity(3)
     np.testing.assert_allclose(one.data, np.eye(3))
+    assert one.bandwidth == 0
 
 
 # ---------------------------------------------------------------------------
