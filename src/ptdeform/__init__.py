@@ -26,7 +26,7 @@ from .algebra import (
     su11_matrix_elements,
 )
 from .opmat import OperatorMatrix, QuadratureOrderError
-from .specfun import Polynomial, QuadratureRule, gauss_legendre
+from .specfun import QuadratureRule, gauss_legendre
 from .wavefun import Eigenfunction, build_eigenfunction, psi_value
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "su11_matrix_elements",
     "OperatorMatrix",
     "QuadratureOrderError",
-    "Polynomial",
     "QuadratureRule",
     "gauss_legendre",
     "Eigenfunction",

@@ -46,7 +46,6 @@ from .opmat import (
     adjointness_residual,
     bplus_second_form,
     build_X,  # noqa: F401  (perfbench/tests/test_spans.py patches it in this namespace)
-    build_basis,
     build_su11,
     casimir_matrices,
     check_identity_12,
@@ -395,7 +394,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
         "bplus_second_form",
         (bplus_second_form(params, x_op, p_op, h_op) - bplus_op).max_abs(margin),
     ))
-    g_diag = energy_diag(params, n_basis, g_of, label="g(H)")
+    g_diag = energy_diag(params, n_basis, g_of)
     checks.append((
         "commutator_h_b",
         (commutator(h_op, b_op) + (b_op @ g_diag)).max_abs(margin),
@@ -406,7 +405,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
     ))
 
     f_fn = f_of_uncorrected if config.use_uncorrected_f else f_of
-    f_diag = energy_diag(params, n_basis, f_fn, label="f(H)")
+    f_diag = energy_diag(params, n_basis, f_fn)
     checks.append((
         "corrected_f_commutator",
         (commutator(b_op, bplus_op) + f_diag).max_abs(margin),
@@ -432,13 +431,13 @@ def run_verification(config: RunConfig) -> VerificationReport:
 
     # --- wavefunction layer ---------------------------------------------
     n_states = 21
-    efs = build_basis(params, n_states)
+    efs = [build_eigenfunction(params, n) for n in range(n_states)]
     ladder_resid = 0.0
     for n in range(min(25, n_basis - 1) + 1):
-        closed_phi = np.asarray(build_eigenfunction(params, n, "closed_form").phi.coeffs)
-        ladder_phi = np.asarray(build_eigenfunction(params, n, "ladder").phi.coeffs)
-        scale = float(np.max(np.abs(closed_phi)))
-        ladder_resid = max(ladder_resid, float(np.max(np.abs(ladder_phi - closed_phi))) / scale)
+        closed = np.asarray(build_eigenfunction(params, n, "closed_form").basis_coeffs)
+        ladder = np.asarray(build_eigenfunction(params, n, "ladder").basis_coeffs)
+        scale = float(np.max(np.abs(closed)))
+        ladder_resid = max(ladder_resid, float(np.max(np.abs(ladder - closed))) / scale)
     checks.append(("ladder_vs_closed_form", ladder_resid))
 
     gram = gram_matrix(efs, rule)
@@ -566,7 +565,7 @@ def cmd_scan_limit(config: RunConfig, nu_values: list[float]) -> dict:
     for nu in nu_values:
         params = ModelParams(hbar=base.hbar, mass=base.mass, k=base.k, nu=nu)
         ops = operator_set(params, config.basis_size, config.quadrature(params))
-        f_diag = energy_diag(params, config.basis_size, f_of_uncorrected, label="f_unc(H)")
+        f_diag = energy_diag(params, config.basis_size, f_of_uncorrected)
         resid = commutator(ops.b, ops.bplus) + f_diag
         diag = np.real(np.diag(resid.trusted(config.trust_margin)))
         strength = nu * (nu - 1.0)
@@ -748,31 +747,35 @@ def main(argv: list[str] | None = None) -> int:
         # argparse raises for --help (0) and, via _Parser.error, usage (1)
         return int(exc.code or 0)
 
+    # A non-finite intermediate raises FloatingPointError (an ArithmeticError)
+    # at its first operation instead of printing a numpy warning; underflow
+    # to zero is harmless and stays silent.
     try:
-        if args.subcommand == "scan-limit":
-            nu_values = [float(s) for s in str(args.nu_list).split(",") if s.strip()]
-            if not nu_values or not all(1.0 <= nu < math.inf for nu in nu_values):
-                raise ValueError("--nu-list needs comma-separated finite values, each >= 1")
-        n_max = getattr(args, "n_max", 0)
-        if n_max < 0:
-            raise ValueError(f"--n-max must be >= 0, got {n_max}")
-        config = _config_from_args(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.subcommand == "scan-limit":
+                nu_values = [float(s) for s in str(args.nu_list).split(",") if s.strip()]
+                if not nu_values or not all(1.0 <= nu < math.inf for nu in nu_values):
+                    raise ValueError("--nu-list needs comma-separated finite values, each >= 1")
+            n_max = getattr(args, "n_max", 0)
+            if n_max < 0:
+                raise ValueError(f"--n-max must be >= 0, got {n_max}")
+            config = _config_from_args(args)
 
-        if args.subcommand == "verify":
-            report = run_verification(config)
-            text = render_payload(report.to_dict(), config.output_format)
-            _write_output(text, config.out_path)
-            return 0 if report.overall_pass else 2
-        if args.subcommand == "spectrum":
-            payload = cmd_spectrum(config, n_max)
-        elif args.subcommand == "wavefunctions":
-            payload = cmd_wavefunctions(config, n_max, args.samples)
-        elif args.subcommand == "ladder":
-            payload = cmd_ladder(config, n_max)
-        else:
-            payload = cmd_scan_limit(config, nu_values)
-        _write_output(render_payload(payload, config.output_format), config.out_path)
-        return 0
+            if args.subcommand == "verify":
+                report = run_verification(config)
+                text = render_payload(report.to_dict(), config.output_format)
+                _write_output(text, config.out_path)
+                return 0 if report.overall_pass else 2
+            if args.subcommand == "spectrum":
+                payload = cmd_spectrum(config, n_max)
+            elif args.subcommand == "wavefunctions":
+                payload = cmd_wavefunctions(config, n_max, args.samples)
+            elif args.subcommand == "ladder":
+                payload = cmd_ladder(config, n_max)
+            else:
+                payload = cmd_scan_limit(config, nu_values)
+            _write_output(render_payload(payload, config.output_format), config.out_path)
+            return 0
     except ValueError as exc:  # includes QuadratureOrderError
         print(f"ptdeform: error: {exc}", file=sys.stderr)
         return 1

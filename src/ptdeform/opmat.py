@@ -30,7 +30,6 @@ from .specfun import QuadratureRule
 from .wavefun import (
     Eigenfunction,
     basis_table,
-    build_eigenfunction,
     lowering_apply,
     psi_value,
     raising_apply,
@@ -43,7 +42,6 @@ __all__ = [
     "identity",
     "diag_operator",
     "energy_diag",
-    "build_basis",
     "build_X",
     "build_P",
     "build_H",
@@ -83,7 +81,6 @@ class OperatorMatrix:
     basis_size: int
     trust_margin: int = 0
     bandwidth: int | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         d = np.asarray(self.data, dtype=complex)
@@ -99,11 +96,8 @@ class OperatorMatrix:
         return (self.bandwidth == 0
                 and np.count_nonzero(self.data) == np.count_nonzero(self.data.diagonal()))
 
-    def relabeled(self, label: str) -> "OperatorMatrix":
-        return replace(self, label=label)
-
     def adjoint(self) -> "OperatorMatrix":
-        return replace(self, data=self.data.conj().T, label=f"adj({self.label})")
+        return replace(self, data=self.data.conj().T)
 
     def trusted(self, margin: int | None = None) -> np.ndarray:
         """The block guaranteed free of truncation effects."""
@@ -127,27 +121,26 @@ class OperatorMatrix:
         if self.basis_size != other.basis_size:
             raise ValueError("operands act on different basis sizes")
 
-    def _elementwise(self, other: "OperatorMatrix", ufunc, symbol: str) -> "OperatorMatrix":
+    def _elementwise(self, other: "OperatorMatrix", ufunc) -> "OperatorMatrix":
         self._require_same_basis(other)
         return OperatorMatrix(
             data=ufunc(self.data, other.data),
             basis_size=self.basis_size,
             trust_margin=max(self.trust_margin, other.trust_margin),
             bandwidth=max(self.bandwidth, other.bandwidth),
-            label=f"({self.label} {symbol} {other.label})",
         )
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._elementwise(other, np.add, "+")
+        return self._elementwise(other, np.add)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._elementwise(other, np.subtract, "-")
+        return self._elementwise(other, np.subtract)
 
     def __neg__(self) -> "OperatorMatrix":
-        return replace(self, data=-self.data, label=f"(-{self.label})")
+        return replace(self, data=-self.data)
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return replace(self, data=self.data * scalar, label=f"({scalar} * {self.label})")
+        return replace(self, data=self.data * scalar)
 
     __rmul__ = __mul__
 
@@ -171,28 +164,23 @@ class OperatorMatrix:
             basis_size=self.basis_size,
             trust_margin=margin,
             bandwidth=self.bandwidth + other.bandwidth,
-            label=f"({self.label} . {other.label})",
         )
 
 
 def identity(n_basis: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(n_basis, dtype=complex), n_basis, bandwidth=0, label="1")
+    return OperatorMatrix(np.eye(n_basis, dtype=complex), n_basis, bandwidth=0)
 
 
-def diag_operator(values, n_basis: int, label: str = "diag") -> OperatorMatrix:
+def diag_operator(values, n_basis: int) -> OperatorMatrix:
     v = np.asarray(values, dtype=complex)
     if v.shape != (n_basis,):
         raise ValueError(f"need {n_basis} diagonal values, got shape {v.shape}")
-    return OperatorMatrix(np.diag(v), n_basis, trust_margin=0, bandwidth=0, label=label)
+    return OperatorMatrix(np.diag(v), n_basis, trust_margin=0, bandwidth=0)
 
 
-def energy_diag(params: ModelParams, n_basis: int, fn, label: str = "fn(H)") -> OperatorMatrix:
+def energy_diag(params: ModelParams, n_basis: int, fn) -> OperatorMatrix:
     """diag(fn(E_0), ..., fn(E_{N-1})); spectral calculus for functions of H."""
-    return diag_operator([fn(params, energy(params, n)) for n in range(n_basis)], n_basis, label)
-
-
-def build_basis(params: ModelParams, n_basis: int) -> list[Eigenfunction]:
-    return [build_eigenfunction(params, n) for n in range(n_basis)]
+    return diag_operator([fn(params, energy(params, n)) for n in range(n_basis)], n_basis)
 
 
 def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None:
@@ -215,7 +203,7 @@ def build_X(params: ModelParams, n_basis: int, rule: QuadratureRule) -> Operator
     psi, _ = basis_table(params, n_basis, rule.nodes)
     s = np.sin(params.k * rule.nodes)
     data = (psi * (rule.weights * s)) @ psi.T
-    return OperatorMatrix(data.astype(complex), n_basis, trust_margin=0, bandwidth=1, label="X")
+    return OperatorMatrix(data.astype(complex), n_basis, trust_margin=0, bandwidth=1)
 
 
 def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorMatrix:
@@ -233,7 +221,7 @@ def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> Operator
     hbar, k = params.hbar, params.k
     pvals = -1j * hbar * k * c * dpsi + 0.5j * hbar * k**2 * s * psi
     data = (psi * rule.weights) @ pvals.T
-    op = OperatorMatrix(data, n_basis, trust_margin=0, bandwidth=1, label="P")
+    op = OperatorMatrix(data, n_basis, trust_margin=0, bandwidth=1)
     resid = op.hermiticity_residual()
     if resid > 1e-8:
         raise QuadratureOrderError(
@@ -244,7 +232,7 @@ def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> Operator
 
 def build_H(params: ModelParams, n_basis: int) -> OperatorMatrix:
     """Hamiltonian, diagonal on its own bound tower: H|n> = eps (n+nu)^2 |n>."""
-    return diag_operator([energy(params, n) for n in range(n_basis)], n_basis, label="H")
+    return diag_operator([energy(params, n) for n in range(n_basis)], n_basis)
 
 
 def _sqrt_eh(params: ModelParams, n_basis: int) -> np.ndarray:
@@ -257,9 +245,9 @@ def assemble_b(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,
     and its adjoint."""
     eps = params.epsilon
     n_basis = X.basis_size
-    d1 = diag_operator(eps + 2.0 * _sqrt_eh(params, n_basis), n_basis, label="eps+2sqrt(eps H)")
-    b = ((X @ d1 + (1j * params.hbar / params.mass) * P) * (0.5 / eps)).relabeled("b")
-    return b, b.adjoint().relabeled("b+")
+    d1 = diag_operator(eps + 2.0 * _sqrt_eh(params, n_basis), n_basis)
+    b = (X @ d1 + (1j * params.hbar / params.mass) * P) * (0.5 / eps)
+    return b, b.adjoint()
 
 
 class OperatorSet(NamedTuple):
@@ -294,14 +282,14 @@ def bplus_second_form(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,
     eps = params.epsilon
     n_basis = X.basis_size
     se = _sqrt_eh(params, n_basis)
-    d2 = diag_operator(eps - 2.0 * se, n_basis, label="eps-2sqrt(eps H)")
-    right = diag_operator((eps + se) / se, n_basis, label="(eps+sqrt(eps H))/sqrt(eps H)")
+    d2 = diag_operator(eps - 2.0 * se, n_basis)
+    right = diag_operator((eps + se) / se, n_basis)
     core = (X @ d2 + (1j * params.hbar / params.mass) * P) * (-0.5 / eps)
-    return (core @ right).relabeled("b+ (ordered form)")
+    return core @ right
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    return (a @ b - b @ a).relabeled(f"[{a.label}, {b.label}]")
+    return a @ b - b @ a
 
 
 def check_identity_12(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,
@@ -334,10 +322,10 @@ def casimir_matrices(params: ModelParams, b: OperatorMatrix,
     each equal to -nu(nu-1) times the identity on the bound tower.
     """
     n_basis = b.basis_size
-    hd = energy_diag(params, n_basis, h_of, label="h(H)")
-    fd = energy_diag(params, n_basis, f_of, label="f(H)")
-    c1 = (b @ bplus + hd).relabeled("C (b b+)")
-    c2 = (bplus @ b + hd - fd).relabeled("C (b+ b)")
+    hd = energy_diag(params, n_basis, h_of)
+    fd = energy_diag(params, n_basis, f_of)
+    c1 = b @ bplus + hd
+    c2 = bplus @ b + hd - fd
     return c1, c2
 
 
@@ -352,8 +340,8 @@ def extended_algebra_residuals(params: ModelParams, b: OperatorMatrix, bplus: Op
     n_basis = b.basis_size
     c1, _ = casimir_matrices(params, b, bplus)
     ratios = np.array([n + params.nu for n in range(n_basis)])
-    s = diag_operator(ratios, n_basis, label="sqrt(H/eps)")
-    rhs_diag = diag_operator(ratios * (1.0 + 3.0 * ratios), n_basis, label="sqrt(H/eps)(1+3 sqrt(H/eps))")
+    s = diag_operator(ratios, n_basis)
+    rhs_diag = diag_operator(ratios * (1.0 + 3.0 * ratios), n_basis)
     bilinear = s @ (b @ bplus) - (s - identity(n_basis)) @ (bplus @ b) - c1 - rhs_diag
     return {
         "extended_commutes_h": commutator(c1, H).max_abs(margin),
@@ -376,10 +364,10 @@ def build_su11(params: ModelParams, b: OperatorMatrix, bplus: OperatorMatrix,
     """
     n_basis = b.basis_size
     ratios = np.array([n + params.nu for n in range(n_basis)])
-    j0 = diag_operator(ratios, n_basis, label="J0")
-    d = diag_operator(np.sqrt(ratios / (ratios + 1.0)), n_basis, label="sqrt(J0/(J0+1))")
-    jp = (bplus @ d).relabeled("J+")
-    jm = jp.adjoint().relabeled("J-")
+    j0 = diag_operator(ratios, n_basis)
+    d = diag_operator(np.sqrt(ratios / (ratios + 1.0)), n_basis)
+    jp = bplus @ d
+    jm = jp.adjoint()
     return j0, jp, jm
 
 
@@ -402,8 +390,8 @@ def su11_ordering_residual(params: ModelParams, bplus: OperatorMatrix, margin: i
     give the same matrix: b+ sqrt(J0/(J0+1)) = sqrt((J0-1)/J0) b+."""
     n_basis = bplus.basis_size
     ratios = np.array([n + params.nu for n in range(n_basis)])
-    right = diag_operator(np.sqrt(ratios / (ratios + 1.0)), n_basis, label="right factor")
-    left = diag_operator(np.sqrt((ratios - 1.0).clip(min=0.0) / ratios), n_basis, label="left factor")
+    right = diag_operator(np.sqrt(ratios / (ratios + 1.0)), n_basis)
+    left = diag_operator(np.sqrt((ratios - 1.0).clip(min=0.0) / ratios), n_basis)
     return (bplus @ right - left @ bplus).max_abs(margin)
 
 

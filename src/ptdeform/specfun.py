@@ -1,11 +1,10 @@
 """Special-function and quadrature primitives.
 
 Everything in this module is pure numerics with no model parameters:
-log-gamma, Gegenbauer polynomials by three-term recurrence (values and
-coefficient vectors), associated Legendre functions of real degree and
-order through their Gegenbauer connection, Gauss-Legendre rules with
-Newton-refined nodes, and exact coefficient arithmetic for the
-polynomial factor of the bound states.
+log-gamma, Gegenbauer polynomial values by three-term recurrence,
+associated Legendre functions of real degree and order through their
+Gegenbauer connection, and Gauss-Legendre rules with Newton-refined
+nodes.
 """
 
 from __future__ import annotations
@@ -17,97 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Polynomial",
     "QuadratureRule",
     "log_gamma",
     "gegenbauer_row",
-    "gegenbauer_coefficients",
     "assoc_legendre",
     "gauss_legendre",
-    "poly_ladder_step",
 ]
-
-
-# Dekker's splitting constant for IEEE doubles (2^27 + 1).
-_SPLIT = 134217729.0
-
-
-def _two_prod(a, b):
-    """a * b as (rounded product, exact rounding error)."""
-    p = a * b
-    ca = _SPLIT * a
-    a_hi = ca - (ca - a)
-    a_lo = a - a_hi
-    cb = _SPLIT * b
-    b_hi = cb - (cb - b)
-    b_lo = b - b_hi
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, e
-
-
-def _two_sum(a, b):
-    """a + b as (rounded sum, exact rounding error)."""
-    s = a + b
-    t = s - a
-    e = (a - (s - t)) + (b - t)
-    return s, e
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial ``a_0 + a_1 X + a_2 X^2 + ...`` in canonical form.
-
-    Trailing zero coefficients are stripped on construction, so two
-    instances representing the same polynomial compare equal.  The zero
-    polynomial is stored as ``(0.0,)`` and reports degree -1.
-    """
-
-    coeffs: tuple[float, ...] = (0.0,)
-
-    def __post_init__(self) -> None:
-        c = [float(v) for v in self.coeffs]
-        while len(c) > 1 and c[-1] == 0.0:
-            c.pop()
-        if not c:
-            c = [0.0]
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    @property
-    def degree(self) -> int:
-        if len(self.coeffs) == 1 and self.coeffs[0] == 0.0:
-            return -1
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> float:
-        return self.coeffs[-1]
-
-    def __call__(self, x):
-        """Evaluate by compensated Horner; broadcasts over array arguments.
-
-        The monomial coefficients of high-order basis polynomials grow
-        like 2^degree with alternating signs, so plain Horner loses up to
-        degree * log10(2) digits on |x| <= 1.  The error-free
-        transformations below restore full working precision at the cost
-        of a constant factor in flops.
-        """
-        xa = np.asarray(x, dtype=float)
-        acc = np.full(xa.shape, self.coeffs[-1])
-        err = np.zeros(xa.shape)
-        for a in self.coeffs[-2::-1]:
-            prod, prod_err = _two_prod(acc, xa)
-            acc, sum_err = _two_sum(prod, a)
-            err = err * xa + (prod_err + sum_err)
-        acc = acc + err
-        return acc if xa.shape else float(acc)
-
-    def derivative(self) -> "Polynomial":
-        if len(self.coeffs) == 1:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(j * a for j, a in enumerate(self.coeffs))[1:])
-
-    def scaled(self, c: float) -> "Polynomial":
-        return Polynomial(tuple(c * a for a in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -192,29 +106,6 @@ def gegenbauer_row(n_max: int, nu: float, x):
     for n in range(2, n_max + 1):
         out[n] = (2.0 * (n + nu - 1.0) * xa * out[n - 1] - (n + 2.0 * nu - 2.0) * out[n - 2]) / n
     return out
-
-
-def gegenbauer_coefficients(n: int, nu: float) -> np.ndarray:
-    """Coefficient vector of ``C_n^(nu)`` in powers of X.
-
-    Same recurrence as `gegenbauer_row`, applied to coefficient arrays,
-    so the two agree to rounding when the result is evaluated.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if nu <= 0.0:
-        raise ValueError(f"gegenbauer_coefficients requires nu > 0, got {nu}")
-    prev = np.array([1.0])
-    if n == 0:
-        return prev
-    cur = np.array([0.0, 2.0 * nu])
-    for m in range(2, n + 1):
-        nxt = np.zeros(m + 1)
-        nxt[1:] = 2.0 * (m + nu - 1.0) * cur
-        nxt[: m - 1] -= (m + 2.0 * nu - 2.0) * prev
-        nxt /= m
-        prev, cur = cur, nxt
-    return cur
 
 
 def assoc_legendre(lam: float, mu: float, x):
@@ -306,20 +197,3 @@ def _legendre_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     w.flags.writeable = False
     return z, w
 
-
-def poly_ladder_step(phi: Polynomial, n: int, nu: float) -> Polynomial:
-    """Apply the raising differential ``(X^2 - 1) d/dX + (n + 2 nu) X``.
-
-    Maps the degree-n polynomial factor of a bound state to the
-    (unnormalized) degree-(n+1) factor of the next one.  Coefficient m of
-    the image is ``(m - 1 + n + 2 nu) a_{m-1} - (m + 1) a_{m+1}``; the
-    leading coefficient picks up the factor ``2 (n + nu)``.
-    """
-    if phi.degree != n:
-        raise ValueError(f"poly_ladder_step expects deg(phi) == n, got degree {phi.degree} with n = {n}")
-    a = np.asarray(phi.coeffs, dtype=float)
-    out = np.zeros(n + 2)
-    out[1:] += (np.arange(n + 1) + n + 2.0 * nu) * a
-    if n >= 1:
-        out[:n] -= np.arange(1.0, n + 1.0) * a[1:]
-    return Polynomial(tuple(out))

@@ -2,13 +2,13 @@
 Poschl-Teller well.
 
 Each state factors as psi_n(x) = cos^nu(kx) * phi_n(sin kx) with phi_n a
-degree-n polynomial.  Two independent constructions are provided: the
-closed Gegenbauer form phi_n = N_n C_n^(nu), and repeated application of
-the polynomial raising step starting from the constant ground-state
-factor.  A third route evaluates the same state through its associated
-Legendre representation.  Derivatives are taken with exact polynomial
-arithmetic, so pointwise residuals of differential identities probe only
-floating-point rounding.
+degree-n polynomial, stored as its coefficients on the Gegenbauer family
+C_j^(nu).  Two independent constructions are provided: the closed form
+phi_n = N_n C_n^(nu), and repeated application of the raising step to
+the constant ground-state factor.  A third route evaluates the same state
+through its associated Legendre representation.  Derivatives follow from
+d/dX C_j^(nu) = 2 nu C_{j-1}^(nu+1), so pointwise residuals of
+differential identities probe only floating-point rounding.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ModelParams, alpha
-from .specfun import (
-    Polynomial,
-    QuadratureRule,
-    assoc_legendre,
-    gegenbauer_coefficients,
-    gegenbauer_row,
-    log_gamma,
-    poly_ladder_step,
-)
+from .specfun import QuadratureRule, assoc_legendre, gegenbauer_row, log_gamma
 
 __all__ = [
     "Eigenfunction",
@@ -50,31 +42,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Eigenfunction:
-    """Level ``n`` bound state; ``phi`` already carries the norm ``N_n``.
-
-    The same polynomial is stored twice: ``phi`` holds the monomial
-    coefficients (the representation coefficient-level checks inspect),
-    while ``basis_coeffs`` holds its expansion on the Gegenbauer family
-    of the model's own index.  Pointwise evaluation goes through
-    ``basis_coeffs``, because monomial coefficients of degree-n factors
-    carry ~2^n-amplified rounding that no evaluation scheme can undo.
+    """Level ``n`` bound state, its polynomial factor phi_n given by
+    ``basis_coeffs`` on the Gegenbauer family C_0^(nu) ... C_n^(nu) of the
+    model's own index; the coefficients already carry the norm ``N_n``.
     """
 
     n: int
     params: ModelParams
-    phi: Polynomial
-    norm: float
     basis_coeffs: tuple[float, ...]
-
-    def rescaled(self, factor: float) -> "Eigenfunction":
-        """The same state with both representations scaled by ``factor``."""
-        return Eigenfunction(
-            n=self.n,
-            params=self.params,
-            phi=self.phi.scaled(factor),
-            norm=self.norm,
-            basis_coeffs=tuple(factor * d for d in self.basis_coeffs),
-        )
 
 
 def norm0(params: ModelParams) -> float:
@@ -126,9 +101,9 @@ def _ladder_step_basis(d: np.ndarray, j: int, nu: float) -> np.ndarray:
 
 def build_eigenfunction(params: ModelParams, n: int, method: str = "closed_form") -> Eigenfunction:
     """Construct psi_n, either from the closed Gegenbauer form or by
-    climbing from the ground state with the polynomial raising step.
+    climbing from the ground state with the raising step.
 
-    Both routes produce the same normalized polynomial up to rounding;
+    Both routes produce the same Gegenbauer coefficients up to rounding;
     the ladder route divides out alpha_{j+1} at each step, so it is only
     as accurate as the closed-form ladder coefficients it consumes.
     """
@@ -136,22 +111,16 @@ def build_eigenfunction(params: ModelParams, n: int, method: str = "closed_form"
         raise ValueError(f"level index must be >= 0, got {n}")
     nu = params.nu
     if method == "closed_form":
-        coeffs = norm_n(params, n) * gegenbauer_coefficients(n, nu)
-        phi = Polynomial(tuple(coeffs))
         basis = np.zeros(n + 1)
         basis[n] = norm_n(params, n)
     elif method == "ladder":
-        phi = Polynomial((norm0(params),))
         basis = np.array([norm0(params)])
         for j in range(n):
             scale = (j + nu + 1.0) / ((j + nu) * alpha(params, j + 1))
-            phi = poly_ladder_step(phi, j, nu).scaled(scale)
             basis = scale * _ladder_step_basis(basis, j, nu)
     else:
         raise ValueError(f"unknown construction method {method!r}")
-    return Eigenfunction(
-        n=n, params=params, phi=phi, norm=norm_n(params, n), basis_coeffs=tuple(basis)
-    )
+    return Eigenfunction(n=n, params=params, basis_coeffs=tuple(basis))
 
 
 def _trig(params: ModelParams, x):

@@ -385,7 +385,10 @@ def test_main_rejects_non_finite_input(argv, flag, capsys):
 def test_main_rejects_out_of_range_input(argv, needle, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert needle in captured.err and captured.out == ""
+    # one error line and nothing before it, no numpy warning in particular
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ptdeform: error:")
+    assert needle in err[0] and captured.out == ""
 
 
 def test_main_unwritable_output():

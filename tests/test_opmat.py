@@ -25,7 +25,6 @@ from ptdeform.opmat import (
     QuadratureOrderError,
     adjointness_residual,
     bplus_second_form,
-    build_basis,
     build_grid_hamiltonian,
     build_P,
     build_su11,
@@ -126,7 +125,7 @@ def test_dense_matrix_declared_diagonal_multiplies_densely():
 
 def test_adjoint_and_scalar_ops():
     m = np.array([[1.0, 2.0j], [0.0, 1.0]])
-    op = OperatorMatrix(m, 2, label="m")
+    op = OperatorMatrix(m, 2)
     np.testing.assert_allclose(op.adjoint().data, m.conj().T)
     np.testing.assert_allclose((2.0 * op).data, 2.0 * m)
     np.testing.assert_allclose((-op).data, -m)
@@ -377,7 +376,7 @@ def test_su11_jplus_reference_entry():
 @pytest.mark.parametrize("nu", [1.5, 3.7])
 def test_ladder_forms_are_adjoint_under_quadrature(nu):
     params, rule, *_ = operators(nu)
-    efs = build_basis(params, 21)
+    efs = [build_eigenfunction(params, n) for n in range(21)]
     assert adjointness_residual(params, efs, rule) < 1e-10
 
 

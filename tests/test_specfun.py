@@ -10,72 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_gegenbauer, gegenbauer
+from scipy.special import eval_gegenbauer
 
 from ptdeform.specfun import (
-    Polynomial,
     QuadratureRule,
     assoc_legendre,
     gauss_legendre,
-    gegenbauer_coefficients,
     gegenbauer_row,
     log_gamma,
-    poly_ladder_step,
     _legendre_rule,
 )
 
 NU_GRID = [0.6, 1.0, 1.5, 2.0, 3.7]
-
-
-# ---------------------------------------------------------------------------
-# Polynomial
-
-
-def test_polynomial_strips_trailing_zeros():
-    p = Polynomial((1.0, 2.0, 0.0, 0.0))
-    assert p.coeffs == (1.0, 2.0)
-    assert p.degree == 1
-    assert p.leading == 2.0
-
-
-def test_zero_polynomial_degree():
-    assert Polynomial((0.0, 0.0, 0.0)).degree == -1
-    assert Polynomial().coeffs == (0.0,)
-    assert Polynomial((0.0,))(0.7) == 0.0
-
-
-def test_polynomial_equality_is_canonical():
-    assert Polynomial((3.0, 0.0, 1.0, 0.0)) == Polynomial((3.0, 0.0, 1.0))
-
-
-def test_polynomial_derivative_and_scale():
-    p = Polynomial((5.0, -1.0, 0.0, 2.0))  # 5 - x + 2 x^3
-    assert p.derivative().coeffs == (-1.0, 0.0, 6.0)
-    assert p.scaled(-2.0).coeffs == (-10.0, 2.0, 0.0, -4.0)
-    assert Polynomial((4.0,)).derivative().degree == -1
-
-
-def test_polynomial_call_matches_polyval():
-    rng = np.random.default_rng(7)
-    coeffs = rng.standard_normal(9)
-    p = Polynomial(tuple(coeffs))
-    x = rng.uniform(-1.0, 1.0, size=40)
-    np.testing.assert_allclose(p(x), np.polynomial.polynomial.polyval(x, coeffs),
-                               rtol=1e-13, atol=1e-13)
-    assert isinstance(p(0.25), float)
-
-
-def test_polynomial_call_compensates_cancellation():
-    # (x - 1)^8 expanded, evaluated at x = 1 + 2^-10: every quantity in
-    # sight is exactly representable, the true value is 2^-80, and naive
-    # Horner returns pure cancellation noise (off by ~2e9 relative).
-    coeffs = [math.comb(8, j) * (-1.0) ** (8 - j) for j in range(9)]
-    p = Polynomial(tuple(coeffs))
-    x = 1.0 + 2.0**-10
-    exact = (2.0**-10) ** 8
-    naive = np.polynomial.polynomial.polyval(x, coeffs)
-    assert abs(naive - exact) / exact > 1e6  # the point of compensating
-    assert abs(p(x) - exact) / exact < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -147,36 +93,6 @@ def test_gegenbauer_row_validation():
         gegenbauer_row(-1, 1.5, 0.0)
     with pytest.raises(ValueError):
         gegenbauer_row(3, 0.0, 0.0)
-
-
-@pytest.mark.parametrize("nu", [1.0, 1.5, 2.0, 3.7])
-def test_gegenbauer_coefficients_match_scipy(nu):
-    # scipy's orthopoly1d carries its own rounding above n ~ 15, so the
-    # coefficient-level comparison stays at modest degree.
-    for n in range(13):
-        mine = gegenbauer_coefficients(n, nu)
-        ref = np.asarray(gegenbauer(n, nu))[::-1]  # ascending order
-        ref_full = np.zeros(n + 1)
-        ref_full[: ref.size] = ref
-        scale = max(1.0, float(np.max(np.abs(ref_full))))
-        assert np.max(np.abs(mine - ref_full)) / scale < 1e-11
-
-
-def test_gegenbauer_coefficients_parity():
-    # C_n has the parity of n: alternate coefficients vanish exactly.
-    c6 = gegenbauer_coefficients(6, 2.0)
-    c7 = gegenbauer_coefficients(7, 2.0)
-    assert np.all(c6[1::2] == 0.0)
-    assert np.all(c7[0::2] == 0.0)
-
-
-def test_gegenbauer_consistency_coeffs_vs_row():
-    # The two representations evaluate to the same polynomial.
-    x = np.linspace(-0.9, 0.9, 7)
-    for n, nu in [(5, 1.0), (9, 2.5)]:
-        via_coeffs = Polynomial(tuple(gegenbauer_coefficients(n, nu)))(x)
-        via_row = gegenbauer_row(n, nu, x)[n]
-        np.testing.assert_allclose(via_coeffs, via_row, rtol=1e-11, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +179,3 @@ def test_gauss_legendre_validation():
     with pytest.raises(ValueError):
         gauss_legendre(5, 1.0, 1.0)
 
-
-# ---------------------------------------------------------------------------
-# the polynomial raising step
-
-
-def test_poly_ladder_step_small_cases():
-    # nu = 2: step on phi_0 = 1 gives 4 X; on 4 X gives 24 X^2 - 4.
-    step0 = poly_ladder_step(Polynomial((1.0,)), 0, 2.0)
-    assert step0.coeffs == (0.0, 4.0)
-    step1 = poly_ladder_step(step0, 1, 2.0)
-    assert step1.coeffs == (-4.0, 0.0, 24.0)
-
-
-@pytest.mark.parametrize("nu", [1.0, 1.5, 2.0, 3.7])
-def test_poly_ladder_step_reproduces_next_gegenbauer(nu):
-    # [(X^2 - 1) d/dX + (n + 2 nu) X] C_n = (n + 1) C_{n+1}
-    for n in range(16):
-        phi = Polynomial(tuple(gegenbauer_coefficients(n, nu)))
-        stepped = poly_ladder_step(phi, n, nu)
-        target = (n + 1) * gegenbauer_coefficients(n + 1, nu)
-        got = np.zeros(n + 2)
-        got[: len(stepped.coeffs)] = stepped.coeffs
-        scale = float(np.max(np.abs(target)))
-        assert np.max(np.abs(got - target)) / scale < 1e-12
-
-
-def test_poly_ladder_step_rejects_degree_mismatch():
-    with pytest.raises(ValueError):
-        poly_ladder_step(Polynomial((1.0, 2.0)), 3, 2.0)

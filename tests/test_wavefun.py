@@ -14,13 +14,15 @@ gamma-function normalization, tanh-sinh quadrature for the integrals):
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ptdeform.algebra import ModelParams, alpha, energy
-from ptdeform.specfun import gauss_legendre
+from ptdeform.specfun import gauss_legendre, gegenbauer_row
 from ptdeform.wavefun import (
+    _ladder_step_basis,
     basis_table,
     build_eigenfunction,
     chebyshev_points,
@@ -84,13 +86,8 @@ def test_norm_survives_large_indices():
 
 def test_build_closed_form_low_levels():
     p = ModelParams(nu=2.0)
-    e0 = build_eigenfunction(p, 0)
-    assert e0.phi.coeffs == (norm_n(p, 0),)
-    e1 = build_eigenfunction(p, 1)
-    # C_1^(2)(X) = 4 X
-    assert e1.phi.coeffs[0] == 0.0
-    assert e1.phi.coeffs[1] == pytest.approx(4.0 * norm_n(p, 1), rel=1e-14)
-    assert e1.basis_coeffs == (0.0, norm_n(p, 1))
+    assert build_eigenfunction(p, 0).basis_coeffs == (norm_n(p, 0),)
+    assert build_eigenfunction(p, 1).basis_coeffs == (0.0, norm_n(p, 1))
 
 
 def test_build_validation():
@@ -105,30 +102,42 @@ def test_build_validation():
 def test_ladder_construction_matches_closed_form(nu):
     p = ModelParams(nu=nu)
     for n in range(26):
-        closed = build_eigenfunction(p, n, "closed_form")
-        ladder = build_eigenfunction(p, n, "ladder")
-        c = np.asarray(closed.phi.coeffs)
-        l = np.zeros_like(c)
-        l[: len(ladder.phi.coeffs)] = ladder.phi.coeffs
-        scale = float(np.max(np.abs(c)))
-        assert np.max(np.abs(l - c)) / scale < 1e-9
-        # the Gegenbauer-basis representation must agree as well
-        cb = np.asarray(closed.basis_coeffs)
-        lb = np.asarray(ladder.basis_coeffs)
+        cb = np.asarray(build_eigenfunction(p, n, "closed_form").basis_coeffs)
+        lb = np.asarray(build_eigenfunction(p, n, "ladder").basis_coeffs)
         assert np.max(np.abs(lb - cb)) / float(np.max(np.abs(cb))) < 1e-9
 
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_polynomial_invariants(nu):
+    # phi_n = N_n C_n^(nu): a single positive basis coefficient, and psi_n
+    # has the parity of n, exactly.
     p = ModelParams(nu=nu)
+    x = chebyshev_points(p, 41)
     for n in range(21):
         ef = build_eigenfunction(p, n)
-        assert ef.phi.degree == n
-        assert ef.phi.leading > 0.0  # positive leading coefficient convention
-        coeffs = np.asarray(ef.phi.coeffs)
-        # parity: coefficients of the wrong parity vanish identically
-        wrong = coeffs[1::2] if n % 2 == 0 else coeffs[0::2]
-        assert np.all(wrong == 0.0)
+        assert ef.basis_coeffs == (0.0,) * n + (norm_n(p, n),)
+        assert norm_n(p, n) > 0.0
+        assert np.array_equal(psi_value(ef, -x), (-1) ** n * psi_value(ef, x))
+
+
+@pytest.mark.parametrize("nu", NU_SET)
+def test_ladder_step_basis_matches_pointwise(nu):
+    # [(X^2 - 1) d/dX + (j + 2 nu) X] sum_i d_i C_i^(nu), evaluated pointwise
+    # with d/dX C_i^(nu) = 2 nu C_{i-1}^(nu+1), against the stepped coefficients.
+    rng = np.random.default_rng(11)
+    X = np.linspace(-0.95, 0.95, 23)
+    for j in (0, 1, 6, 15):
+        d = rng.standard_normal(j + 1)
+        f = d @ gegenbauer_row(j, nu, X)
+        df = np.zeros_like(X)
+        if j >= 1:
+            df = (2.0 * nu * d[1:]) @ gegenbauer_row(j - 1, nu + 1.0, X)
+        terms = ((X * X - 1.0) * df, (j + 2.0 * nu) * X * f)
+        stepped = _ladder_step_basis(d, j, nu)
+        assert stepped.shape == (j + 2,)
+        got = stepped @ gegenbauer_row(j + 1, nu, X)
+        scale = float(np.max(np.abs(terms[0]) + np.abs(terms[1])))
+        assert np.max(np.abs(got - (terms[0] + terms[1]))) / scale < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +305,8 @@ def test_overlap_values_and_rescaling():
     e2 = build_eigenfunction(p, 2)
     assert overlap(e0, e0, rule) == pytest.approx(1.0, abs=1e-12)
     assert overlap(e0, e2, rule) == pytest.approx(0.0, abs=1e-12)
-    doubled = e0.rescaled(2.0)
+    doubled = replace(e0, basis_coeffs=tuple(2.0 * d for d in e0.basis_coeffs))
     assert overlap(doubled, doubled, rule) == pytest.approx(4.0, abs=1e-11)
-    # rescaling keeps both representations in step
     x = 0.37
     assert psi_value(doubled, x) == pytest.approx(2.0 * psi_value(e0, x), rel=1e-13)
 
