@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .algebra import (
     ModelParams,
-    SpectralPoint,
     alpha,
     alpha_by_recursion,
     casimir_eigenvalue,
@@ -21,8 +20,6 @@ from .algebra import (
     g_of,
     h_of,
     nu_from_v0,
-    spectral_point,
-    spectrum,
     su11_matrix_elements,
 )
 from .opmat import OperatorMatrix, QuadratureOrderError
@@ -32,7 +29,6 @@ from .wavefun import Eigenfunction, build_eigenfunction, psi_value
 __all__ = [
     "__version__",
     "ModelParams",
-    "SpectralPoint",
     "alpha",
     "alpha_by_recursion",
     "casimir_eigenvalue",
@@ -42,8 +38,6 @@ __all__ = [
     "g_of",
     "h_of",
     "nu_from_v0",
-    "spectral_point",
-    "spectrum",
     "su11_matrix_elements",
     "OperatorMatrix",
     "QuadratureOrderError",

@@ -24,11 +24,8 @@ from dataclasses import dataclass, replace
 
 __all__ = [
     "ModelParams",
-    "SpectralPoint",
     "nu_from_v0",
     "energy",
-    "spectral_point",
-    "spectrum",
     "g_of",
     "f_of",
     "f_of_uncorrected",
@@ -80,15 +77,6 @@ class ModelParams:
         return self.epsilon * self.nu * (self.nu - 1.0)
 
     @property
-    def gamma(self) -> float:
-        """Inverse energy scale 1 / (2 eps)."""
-        return 0.5 / self.epsilon
-
-    @property
-    def well_width(self) -> float:
-        return math.pi / self.k
-
-    @property
     def box(self) -> tuple[float, float]:
         half = 0.5 * math.pi / self.k
         return (-half, half)
@@ -101,15 +89,6 @@ class ModelParams:
     def strength(self) -> float:
         """The combination nu (nu - 1); exactly 0.0 at nu = 1."""
         return self.nu * (self.nu - 1.0)
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One bound level: index, energy, and sqrt(E/eps) = n + nu."""
-
-    n: int
-    energy: float
-    sqrt_ratio: float
 
 
 def nu_from_v0(v0: float, epsilon: float) -> float:
@@ -128,17 +107,6 @@ def energy(params: ModelParams, n: int) -> float:
     if n < 0:
         raise ValueError(f"level index must be >= 0, got {n}")
     return params.epsilon * (n + params.nu) ** 2
-
-
-def spectral_point(params: ModelParams, n: int) -> SpectralPoint:
-    return SpectralPoint(n=n, energy=energy(params, n), sqrt_ratio=n + params.nu)
-
-
-def spectrum(params: ModelParams, n_max: int) -> list[SpectralPoint]:
-    """Levels 0 through n_max inclusive, in increasing order."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return [spectral_point(params, n) for n in range(n_max + 1)]
 
 
 def _sqrt_ratio(params: ModelParams, e: float) -> float:

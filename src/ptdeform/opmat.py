@@ -3,18 +3,25 @@ finite-difference grid oracle.
 
 Matrix elements of X = sin(kx) and the deformed momentum P are computed
 by Gauss-Legendre quadrature against the exact eigenfunctions; H and all
-functions of H are diagonal.  Because the basis is truncated at
-``basis_size``, entries near the edge of a product matrix are
-contaminated by the missing tail of the sum.  `OperatorMatrix` tracks a
-conservative ``trust_margin`` (rows/columns to exclude) through sums,
-products and adjoints, using the coupling ``bandwidth`` of each factor;
-residual norms are always taken on the trusted block only.
+functions of H are diagonal.  Every operator of the algebra is banded:
+X, P and b couple |n> only to |n +- 1>.  `OperatorMatrix` therefore stores
+an operator as its diagonals out to its ``bandwidth``, so a product costs
+O(N w1 w2) and a sum or a norm O(N w).  `build_X` and `build_P` form the
+full quadrature matrix and keep the band; with ``bandwidth=None`` they
+keep every diagonal, so that the structure checks can measure what lies
+off the band.
+
+Because the basis is truncated at ``basis_size``, entries near the edge
+of a product matrix are contaminated by the missing tail of the sum.
+`OperatorMatrix` tracks a conservative ``trust_margin`` (rows/columns to
+exclude) through sums, products and adjoints, using the ``bandwidth`` of
+each factor; residual norms are always taken on the trusted block only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +60,6 @@ __all__ = [
     "check_identity_12",
     "casimir_matrices",
     "extended_algebra_residuals",
-    "check_extended_algebra",
     "build_su11",
     "su11_residuals",
     "su11_ordering_residual",
@@ -67,55 +73,98 @@ class QuadratureOrderError(ValueError):
     """The quadrature rule is too short for the requested basis size."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex operator on the truncated tower |0> ... |N-1>.
+    """Complex operator on the truncated tower |0> ... |N-1>, stored as its
+    diagonals.
 
-    ``trust_margin`` counts trailing rows/columns whose entries may be
-    corrupted by basis truncation; ``bandwidth`` is how far the operator
-    couples |n> to |n +- bandwidth|, used to grow the margin of products.
-    A bandwidth left unset is the full width N - 1.
+    ``diagonals[p]`` holds the entries <i|A|i+p> for every offset
+    |p| <= ``bandwidth``, indexed by min(i, i+p) as in `np.diagonal`;
+    entries farther from the diagonal are zero.  Offsets missing from the
+    mapping inside the band are filled with zeros.  ``trust_margin``
+    counts trailing rows/columns whose entries may be corrupted by basis
+    truncation; the bandwidth also grows the margin of products.
     """
 
-    data: np.ndarray
+    diagonals: dict[int, np.ndarray]
     basis_size: int
     trust_margin: int = 0
-    bandwidth: int | None = None
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.data, dtype=complex)
         n = self.basis_size
+        width = max(map(abs, self.diagonals), default=0)
+        if width >= n:
+            raise ValueError(f"offset {width} does not fit a {n} x {n} matrix")
+        diagonals = {}
+        for p in range(-width, width + 1):
+            v = self.diagonals.get(p)
+            v = np.zeros(n - abs(p), dtype=complex) if v is None else np.asarray(v, dtype=complex)
+            if v.shape != (n - abs(p),):
+                raise ValueError(f"diagonal {p} needs {n - abs(p)} entries, got shape {v.shape}")
+            diagonals[p] = v
+        object.__setattr__(self, "diagonals", diagonals)
+
+    @classmethod
+    def from_dense(cls, data, basis_size: int, trust_margin: int = 0,
+                   bandwidth: int | None = None) -> "OperatorMatrix":
+        """The diagonals of an N x N matrix out to ``bandwidth`` (default:
+        all of them); entries beyond it are dropped."""
+        d = np.asarray(data, dtype=complex)
+        n = basis_size
         if d.shape != (n, n):
             raise ValueError(f"expected a {n} x {n} matrix, got shape {d.shape}")
-        object.__setattr__(self, "data", d)
-        width = n - 1 if self.bandwidth is None else min(self.bandwidth, n - 1)
-        object.__setattr__(self, "bandwidth", width)
+        width = n - 1 if bandwidth is None else min(bandwidth, n - 1)
+        return cls({p: d.diagonal(p).copy() for p in range(-width, width + 1)}, n, trust_margin)
 
-    def _is_diagonal(self) -> bool:
-        """Declared diagonal and exactly zero off the diagonal."""
-        return (self.bandwidth == 0
-                and np.count_nonzero(self.data) == np.count_nonzero(self.data.diagonal()))
+    @property
+    def bandwidth(self) -> int:
+        """How far the operator couples |n> to |n +- bandwidth>."""
+        return len(self.diagonals) // 2
+
+    def banded(self, width: int) -> "OperatorMatrix":
+        """The same operator with every diagonal beyond ``width`` dropped."""
+        return OperatorMatrix({p: v for p, v in self.diagonals.items() if abs(p) <= width},
+                              self.basis_size, self.trust_margin)
+
+    def _with(self, diagonals: dict[int, np.ndarray]) -> "OperatorMatrix":
+        return OperatorMatrix(diagonals, self.basis_size, self.trust_margin)
 
     def adjoint(self) -> "OperatorMatrix":
-        return replace(self, data=self.data.conj().T)
+        return self._with({p: self.diagonals[-p].conj() for p in self.diagonals})
 
-    def trusted(self, margin: int | None = None) -> np.ndarray:
-        """The block guaranteed free of truncation effects."""
+    def _keep(self, margin: int | None) -> int:
         eff = self.trust_margin if margin is None else max(self.trust_margin, margin)
         keep = self.basis_size - eff
         if keep < 1:
             raise ValueError(f"margin {eff} leaves no trusted block at N = {self.basis_size}")
-        return self.data[:keep, :keep]
+        return keep
+
+    def _trusted_diagonals(self, margin: int | None) -> dict[int, np.ndarray]:
+        """The entries inside the trusted block of every diagonal that reaches it."""
+        keep = self._keep(margin)
+        return {p: v[:keep - abs(p)] for p, v in self.diagonals.items() if abs(p) < keep}
+
+    def diagonal(self, offset: int = 0, margin: int | None = None) -> np.ndarray:
+        """Entries <i|A|i+offset> inside the trusted block."""
+        return self.diagonals[offset][:self._keep(margin) - abs(offset)]
+
+    def trusted(self, margin: int | None = None) -> np.ndarray:
+        """The block guaranteed free of truncation effects, as a dense array."""
+        keep = self._keep(margin)
+        block = np.zeros((keep, keep), dtype=complex)
+        flat = block.reshape(-1)
+        for p, v in self._trusted_diagonals(margin).items():
+            # diagonal p starts at (max(0, -p), max(0, p)) and steps keep + 1 in the flat block
+            flat[max(0, p) + max(0, -p) * keep::keep + 1][:v.size] = v
+        return block
 
     def max_abs(self, margin: int | None = None) -> float:
-        return float(np.max(np.abs(self.trusted(margin))))
-
-    def frobenius(self, margin: int | None = None) -> float:
-        return float(np.linalg.norm(self.trusted(margin)))
+        return max(float(np.max(np.abs(v))) for v in self._trusted_diagonals(margin).values())
 
     def hermiticity_residual(self, margin: int | None = None) -> float:
-        block = self.trusted(margin)
-        return float(np.max(np.abs(block - block.conj().T)))
+        # diagonal -p of A - A^H is minus the conjugate of diagonal p
+        diags = self._trusted_diagonals(margin)
+        return max(float(np.max(np.abs(v - diags[-p].conj()))) for p, v in diags.items() if p >= 0)
 
     def _require_same_basis(self, other: "OperatorMatrix") -> None:
         if self.basis_size != other.basis_size:
@@ -123,11 +172,13 @@ class OperatorMatrix:
 
     def _elementwise(self, other: "OperatorMatrix", ufunc) -> "OperatorMatrix":
         self._require_same_basis(other)
+        # a diagonal outside one operand's band is zero there
+        width = max(self.bandwidth, other.bandwidth)
         return OperatorMatrix(
-            data=ufunc(self.data, other.data),
-            basis_size=self.basis_size,
-            trust_margin=max(self.trust_margin, other.trust_margin),
-            bandwidth=max(self.bandwidth, other.bandwidth),
+            {p: ufunc(self.diagonals.get(p, 0.0), other.diagonals.get(p, 0.0))
+             for p in range(-width, width + 1)},
+            self.basis_size,
+            max(self.trust_margin, other.trust_margin),
         )
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -137,45 +188,41 @@ class OperatorMatrix:
         return self._elementwise(other, np.subtract)
 
     def __neg__(self) -> "OperatorMatrix":
-        return replace(self, data=-self.data)
+        return self._with({p: -v for p, v in self.diagonals.items()})
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return replace(self, data=self.data * scalar)
+        return self._with({p: v * scalar for p, v in self.diagonals.items()})
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_same_basis(other)
-        # A diagonal factor scales rows or columns in O(N^2).  Each entry of
-        # the dense product is then one nonzero term plus exact zeros, so for
-        # real diagonals and finite data the result is the same to the bit.
-        if self._is_diagonal():
-            data = self.data.diagonal()[:, None] * other.data
-        elif other._is_diagonal():
-            data = self.data * other.data.diagonal()
-        else:
-            data = self.data @ other.data
+        n = self.basis_size
+        width = min(self.bandwidth + other.bandwidth, n - 1)
+        out = {s: np.zeros(n - abs(s), dtype=complex) for s in range(-width, width + 1)}
+        # <i|AB|i+p+q> collects <i|A|i+p><i+p|B|i+p+q> over the rows i for
+        # which all three entries exist; each diagonal is indexed from its
+        # first row, max(0, -offset).
+        for p, a in self.diagonals.items():
+            for q, b in other.diagonals.items():
+                s = p + q
+                lo, hi = max(0, -p, -s), min(n, n - p, n - s)
+                if lo < hi:
+                    ra, rb, rs = max(0, -p), max(0, -q) - p, max(0, -s)
+                    out[s][lo - rs:hi - rs] += a[lo - ra:hi - ra] * b[lo - rb:hi - rb]
         # Truncation corrupts the product only where the summed-over index
         # can reach the edge through either factor's band, so the margin
         # grows by the narrower bandwidth.
         margin = max(self.trust_margin, other.trust_margin) + min(self.bandwidth, other.bandwidth)
-        return OperatorMatrix(
-            data=data,
-            basis_size=self.basis_size,
-            trust_margin=margin,
-            bandwidth=self.bandwidth + other.bandwidth,
-        )
+        return OperatorMatrix(out, n, margin)
 
 
 def identity(n_basis: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(n_basis, dtype=complex), n_basis, bandwidth=0)
+    return OperatorMatrix({0: np.ones(n_basis)}, n_basis)
 
 
 def diag_operator(values, n_basis: int) -> OperatorMatrix:
-    v = np.asarray(values, dtype=complex)
-    if v.shape != (n_basis,):
-        raise ValueError(f"need {n_basis} diagonal values, got shape {v.shape}")
-    return OperatorMatrix(np.diag(v), n_basis, trust_margin=0, bandwidth=0)
+    return OperatorMatrix({0: values}, n_basis)
 
 
 def energy_diag(params: ModelParams, n_basis: int, fn) -> OperatorMatrix:
@@ -197,22 +244,30 @@ def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None
         raise ValueError(f"quadrature interval {rule.interval} does not match the box ({a}, {b})")
 
 
-def build_X(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorMatrix:
-    """Matrix of X = sin(kx); real, symmetric, tridiagonal with zero diagonal."""
+def build_X(params: ModelParams, n_basis: int, rule: QuadratureRule,
+            bandwidth: int | None = 1) -> OperatorMatrix:
+    """Matrix of X = sin(kx); real, symmetric, tridiagonal with zero diagonal.
+
+    The full quadrature matrix is formed; only its diagonals out to
+    ``bandwidth`` are kept (all of them for None).
+    """
     _check_rule(params, n_basis, rule)
     psi, _ = basis_table(params, n_basis, rule.nodes)
     s = np.sin(params.k * rule.nodes)
     data = (psi * (rule.weights * s)) @ psi.T
-    return OperatorMatrix(data.astype(complex), n_basis, trust_margin=0, bandwidth=1)
+    return OperatorMatrix.from_dense(data, n_basis, bandwidth=bandwidth)
 
 
-def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorMatrix:
+def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule,
+            bandwidth: int | None = 1) -> OperatorMatrix:
     """Matrix of the deformed momentum P = k [cos(kx) p + (i hbar k / 2) sin(kx)].
 
     Applied literally with p = -i hbar d/dx and the exact closed-form
     derivative of each state, so quadrature is the only error source.
-    Raises `QuadratureOrderError` if the resulting matrix fails
-    Hermiticity at 1e-8, which signals an inadequate rule.
+    Raises `QuadratureOrderError` if the full quadrature matrix fails
+    Hermiticity at 1e-8 relative to the scale hbar k^2 of P, which
+    signals an inadequate rule.  Keeps the diagonals out to ``bandwidth``
+    (all of them for None).
     """
     _check_rule(params, n_basis, rule)
     psi, dpsi = basis_table(params, n_basis, rule.nodes)
@@ -221,13 +276,14 @@ def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> Operator
     hbar, k = params.hbar, params.k
     pvals = -1j * hbar * k * c * dpsi + 0.5j * hbar * k**2 * s * psi
     data = (psi * rule.weights) @ pvals.T
-    op = OperatorMatrix(data, n_basis, trust_margin=0, bandwidth=1)
-    resid = op.hermiticity_residual()
-    if resid > 1e-8:
+    resid = float(np.max(np.abs(data - data.conj().T)))
+    scale = hbar * k**2
+    if resid > 1e-8 * scale:
         raise QuadratureOrderError(
-            f"momentum matrix fails Hermiticity at {resid:.3e}; increase the quadrature order"
+            f"momentum matrix fails Hermiticity at {resid:.3e} ({resid / scale:.3e} of "
+            f"hbar k^2); increase the quadrature order"
         )
-    return op
+    return OperatorMatrix.from_dense(data, n_basis, bandwidth=bandwidth)
 
 
 def build_H(params: ModelParams, n_basis: int) -> OperatorMatrix:
@@ -260,11 +316,13 @@ class OperatorSet(NamedTuple):
     bplus: OperatorMatrix
 
 
-def operator_set(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorSet:
+def operator_set(params: ModelParams, n_basis: int, rule: QuadratureRule,
+                 bandwidth: int | None = 1) -> OperatorSet:
     """Build X and P by quadrature with ``rule``, H from the spectrum, and
-    b, b+ from those three."""
-    x_op = build_X(params, n_basis, rule)
-    p_op = build_P(params, n_basis, rule)
+    b, b+ from those three.  X and P keep their diagonals out to
+    ``bandwidth`` (all of them for None), and so do b and b+."""
+    x_op = build_X(params, n_basis, rule, bandwidth)
+    p_op = build_P(params, n_basis, rule, bandwidth)
     h_op = build_H(params, n_basis)
     b_op, bplus_op = assemble_b(params, x_op, p_op, h_op)
     return OperatorSet(x_op, p_op, h_op, b_op, bplus_op)
@@ -349,11 +407,6 @@ def extended_algebra_residuals(params: ModelParams, b: OperatorMatrix, bplus: Op
         "extended_commutes_bplus": commutator(c1, bplus).max_abs(margin),
         "extended_bilinear": bilinear.max_abs(margin),
     }
-
-
-def check_extended_algebra(params: ModelParams, b: OperatorMatrix, bplus: OperatorMatrix,
-                           H: OperatorMatrix, margin: int = 4) -> float:
-    return max(extended_algebra_residuals(params, b, bplus, H, margin).values())
 
 
 def build_su11(params: ModelParams, b: OperatorMatrix, bplus: OperatorMatrix,

@@ -45,11 +45,6 @@ class QuadratureRule:
     def order(self) -> int:
         return self.nodes.size
 
-    def integrate(self, f) -> float:
-        """Integrate a callable, or dot the weights into an array of samples."""
-        values = f(self.nodes) if callable(f) else np.asarray(f, dtype=float)
-        return float(self.weights @ values)
-
 
 # Lanczos approximation, g = 7 with 9 coefficients.  Relative accuracy is
 # a few ulp throughout the right half-plane, far below the 1e-13 budget

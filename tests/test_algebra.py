@@ -27,8 +27,6 @@ from ptdeform.algebra import (
     g_of,
     h_of,
     nu_from_v0,
-    spectral_point,
-    spectrum,
     su11_matrix_elements,
 )
 
@@ -46,8 +44,6 @@ levels = st.integers(min_value=0, max_value=60)
 def test_default_energy_scale_is_unity():
     p = ModelParams()
     assert p.epsilon == 1.0
-    assert p.gamma == 0.5
-    assert p.well_width == pytest.approx(math.pi)
     assert p.box == (-math.pi / 2, math.pi / 2)
 
 
@@ -110,16 +106,6 @@ def test_energy_closed_form():
     assert energy(NU1, 0) == 1.0
     with pytest.raises(ValueError):
         energy(NU2, -1)
-
-
-def test_spectrum_listing():
-    pts = spectrum(NU2, 3)
-    assert [p.n for p in pts] == [0, 1, 2, 3]
-    assert [p.energy for p in pts] == [4.0, 9.0, 16.0, 25.0]
-    assert pts[2].sqrt_ratio == 4.0
-    assert spectral_point(NU2, 1).energy == 9.0
-    with pytest.raises(ValueError):
-        spectrum(NU2, -1)
 
 
 def test_scaled_units_spectrum():

@@ -391,6 +391,16 @@ def test_main_rejects_out_of_range_input(argv, needle, capsys):
     assert needle in err[0] and captured.out == ""
 
 
+def test_main_momentum_hermiticity_check_scales_with_units(capsys):
+    # P scales like hbar k^2: at k = 1000 its quadrature matrix is Hermitian
+    # to 2.6e-8 absolute, 2.6e-14 relative, which is no quadrature failure
+    code = main(["verify", "--nu", "2", "--k", "1000"])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "quadrature order" not in captured.err
+    assert json.loads(captured.out)["model"]["k"] == 1000.0
+
+
 def test_main_unwritable_output():
     assert main(["verify", "--nu", "2", "--out", "/no/such/dir/report.json"]) == 3
 
