@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .algebra import (
@@ -43,7 +42,6 @@ from .algebra import (
     su11_matrix_elements,
 )
 from .opmat import (
-    adjointness_residual,
     bplus_second_form,
     build_X,  # noqa: F401  (perfbench/tests/test_spans.py patches it in this namespace)
     build_su11,
@@ -55,14 +53,16 @@ from .opmat import (
     grid_spectrum,
     identity,
     operator_set,
+    quadrature_operators,
+    structure_residuals,
     su11_ordering_residual,
     su11_residuals,
+    wavefunction_residuals,
 )
 from .specfun import gauss_legendre
 from .wavefun import (
     build_eigenfunction,
     chebyshev_points,
-    gram_matrix,
     lowering_apply,
     psi_second_deriv_value,
     psi_value,
@@ -157,6 +157,19 @@ class RunConfig:
         if self.trust_margin < 0 or self.trust_margin >= self.basis_size - 1:
             raise ValueError("trust margin must leave a nonempty trusted block")
         params = self.params()  # validates nu / v0 ranges
+        # b and the Casimir relations take sqrt(eps H) and eps^2; both stay in
+        # double range when eps E_n = eps^2 (n + nu)^2 does for every level
+        eps, top = params.epsilon, self.basis_size - 1
+        try:
+            low, high = (eps * (eps * (n + params.nu) ** 2) for n in (0, top))
+        except OverflowError:
+            low = high = math.inf
+        if not (low > 0.0 and math.isfinite(high)):
+            raise ValueError(
+                f"--hbar, --mass and --k put eps * E_n out of numerical range at "
+                f"nu = {params.nu:.6g} (eps = {eps:.3g}, eps * E_0 = {low:.3g}, "
+                f"eps * E_{top} = {high:.3g})"
+            )
         if self.quadrature_order is not None:
             needed = math.ceil(2 * self.basis_size + 2 * params.nu + 10)
             if self.quadrature_order < needed:
@@ -257,6 +270,10 @@ class VerificationReport:
 
 
 def _versions() -> dict:
+    # imported here: scipy adds to the start-up of every command, and only
+    # verify, which loads scipy.linalg for the grid oracle anyway, reports it
+    import scipy
+
     return {
         "ptdeform": __version__,
         "numpy": np.__version__,
@@ -347,25 +364,15 @@ def run_verification(config: RunConfig) -> VerificationReport:
     ))
 
     # --- operator layer ---------------------------------------------------
-    # X, P and b keep every quadrature diagonal until the structure checks
-    # have measured what lies off their band; the algebra then runs on the
-    # band alone.
-    full = operator_set(params, n_basis, rule, bandwidth=None)
-    x_op, p_op, h_op, b_op, bplus_op = (op.banded(1) for op in full)
+    # The algebra runs on the tridiagonal band of X, P and b; the structure
+    # relations read the dense quadrature X and P, so content off the band
+    # still shows.
+    (x_op, p_op, h_op, b_op, bplus_op), x_dense, p_dense = quadrature_operators(
+        params, n_basis, rule)
     one = identity(n_basis)
-
-    checks.append(("x_hermitian", full.X.hermiticity_residual(margin)))
-    xt = full.X.trusted(margin)
-    off_band = np.abs(np.triu(xt, 2)) + np.abs(np.tril(xt, -2))
-    checks.append((
-        "x_structure",
-        max(
-            float(np.max(np.abs(np.diag(xt)))),
-            float(np.max(off_band)),
-            float(np.max(np.abs(xt.imag))),
-        ),
-    ))
-    checks.append(("p_hermitian", full.P.hermiticity_residual(margin)))
+    structure = structure_residuals(params, x_dense, p_dense, margin)
+    checks.extend((name, structure.pop(name))
+                  for name in ("x_hermitian", "x_structure", "p_hermitian"))
 
     ihbar_k2 = 1j * params.hbar * params.k**2
     checks.append((
@@ -381,18 +388,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
     )
     checks.append(("commutator_h_p", (commutator(h_op, p_op) - rhs_hp).max_abs(margin)))
 
-    keep = n_basis - margin
-    b_block = full.b.trusted(margin)
-    checks.append(("b_annihilates_ground", float(np.max(np.abs(b_block[:, 0])))))
-    ladder_limit = min(25, keep - 1)
-    checks.append((
-        "b_ladder_diagonal_alpha",
-        max(abs(b_block[n - 1, n] - alpha(params, n)) for n in range(1, ladder_limit + 1)),
-    ))
-    mask = np.ones_like(b_block, dtype=bool)
-    idx = np.arange(1, keep)
-    mask[idx - 1, idx] = False
-    checks.append(("b_off_ladder", float(np.max(np.abs(b_block[mask])))))
+    checks.extend(structure.items())  # the b_* relations
 
     checks.append((
         "bplus_second_form",
@@ -434,8 +430,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
     checks.append(("su11_orderings_agree", su11_ordering_residual(params, bplus_op, margin)))
 
     # --- wavefunction layer ---------------------------------------------
-    n_states = 21
-    efs = [build_eigenfunction(params, n) for n in range(n_states)]
+    efs = [build_eigenfunction(params, n) for n in range(11)]
     ladder_resid = 0.0
     for n in range(min(25, n_basis - 1) + 1):
         closed = np.asarray(build_eigenfunction(params, n, "closed_form").basis_coeffs)
@@ -443,10 +438,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
         scale = float(np.max(np.abs(closed)))
         ladder_resid = max(ladder_resid, float(np.max(np.abs(ladder - closed))) / scale)
     checks.append(("ladder_vs_closed_form", ladder_resid))
-
-    gram = gram_matrix(efs, rule)
-    checks.append(("gram_identity", float(np.max(np.abs(gram - np.eye(n_states))))))
-    checks.append(("adjointness_quadrature", adjointness_residual(params, efs, rule)))
+    checks.extend(wavefunction_residuals(params, 21, rule).items())
 
     points = chebyshev_points(params, 100)
     checks.append((
@@ -455,7 +447,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
     ))
     leg_resid = max(
         float(np.max(np.abs(psi_value(efs[n], points) - psi_value_legendre(params, n, points))))
-        for n in range(min(11, n_states))
+        for n in range(11)
     )
     checks.append(("legendre_form_pointwise", leg_resid))
 

@@ -6,10 +6,11 @@ by Gauss-Legendre quadrature against the exact eigenfunctions; H and all
 functions of H are diagonal.  Every operator of the algebra is banded:
 X, P and b couple |n> only to |n +- 1>.  `OperatorMatrix` therefore stores
 an operator as its diagonals out to its ``bandwidth``, so a product costs
-O(N w1 w2) and a sum or a norm O(N w).  `build_X` and `build_P` form the
-full quadrature matrix and keep the band; with ``bandwidth=None`` they
-keep every diagonal, so that the structure checks can measure what lies
-off the band.
+O(N w1 w2) and a sum or a norm O(N w).  `quadrature_X` and
+`quadrature_P` return the full N x N quadrature arrays; `build_X`,
+`build_P` and `operator_set` keep only their tridiagonal band.  The
+structure checks of `structure_residuals` read the dense arrays, so
+whatever quadrature puts off the band is measured before it is dropped.
 
 Because the basis is truncated at ``basis_size``, entries near the edge
 of a product matrix are contaminated by the missing tail of the sum.
@@ -37,6 +38,7 @@ from .specfun import QuadratureRule
 from .wavefun import (
     Eigenfunction,
     basis_table,
+    ladder_table,
     lowering_apply,
     psi_value,
     raising_apply,
@@ -49,12 +51,16 @@ __all__ = [
     "identity",
     "diag_operator",
     "energy_diag",
+    "quadrature_X",
+    "quadrature_P",
     "build_X",
     "build_P",
     "build_H",
     "assemble_b",
     "OperatorSet",
+    "quadrature_operators",
     "operator_set",
+    "structure_residuals",
     "bplus_second_form",
     "commutator",
     "check_identity_12",
@@ -64,6 +70,7 @@ __all__ = [
     "su11_residuals",
     "su11_ordering_residual",
     "adjointness_residual",
+    "wavefunction_residuals",
     "build_grid_hamiltonian",
     "grid_spectrum",
 ]
@@ -120,11 +127,6 @@ class OperatorMatrix:
     def bandwidth(self) -> int:
         """How far the operator couples |n> to |n +- bandwidth>."""
         return len(self.diagonals) // 2
-
-    def banded(self, width: int) -> "OperatorMatrix":
-        """The same operator with every diagonal beyond ``width`` dropped."""
-        return OperatorMatrix({p: v for p, v in self.diagonals.items() if abs(p) <= width},
-                              self.basis_size, self.trust_margin)
 
     def _with(self, diagonals: dict[int, np.ndarray]) -> "OperatorMatrix":
         return OperatorMatrix(diagonals, self.basis_size, self.trust_margin)
@@ -244,30 +246,23 @@ def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None
         raise ValueError(f"quadrature interval {rule.interval} does not match the box ({a}, {b})")
 
 
-def build_X(params: ModelParams, n_basis: int, rule: QuadratureRule,
-            bandwidth: int | None = 1) -> OperatorMatrix:
-    """Matrix of X = sin(kx); real, symmetric, tridiagonal with zero diagonal.
-
-    The full quadrature matrix is formed; only its diagonals out to
-    ``bandwidth`` are kept (all of them for None).
-    """
+def quadrature_X(params: ModelParams, n_basis: int, rule: QuadratureRule) -> np.ndarray:
+    """The N x N quadrature matrix of X = sin(kx), every entry kept; real
+    and symmetric, tridiagonal with zero diagonal up to quadrature error."""
     _check_rule(params, n_basis, rule)
     psi, _ = basis_table(params, n_basis, rule.nodes)
     s = np.sin(params.k * rule.nodes)
-    data = (psi * (rule.weights * s)) @ psi.T
-    return OperatorMatrix.from_dense(data, n_basis, bandwidth=bandwidth)
+    return (psi * (rule.weights * s)) @ psi.T
 
 
-def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule,
-            bandwidth: int | None = 1) -> OperatorMatrix:
-    """Matrix of the deformed momentum P = k [cos(kx) p + (i hbar k / 2) sin(kx)].
+def quadrature_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> np.ndarray:
+    """The N x N quadrature matrix of the deformed momentum
+    P = k [cos(kx) p + (i hbar k / 2) sin(kx)], every entry kept.
 
     Applied literally with p = -i hbar d/dx and the exact closed-form
     derivative of each state, so quadrature is the only error source.
-    Raises `QuadratureOrderError` if the full quadrature matrix fails
-    Hermiticity at 1e-8 relative to the scale hbar k^2 of P, which
-    signals an inadequate rule.  Keeps the diagonals out to ``bandwidth``
-    (all of them for None).
+    Raises `QuadratureOrderError` if the matrix fails Hermiticity at 1e-8
+    relative to the scale hbar k^2 of P, which signals an inadequate rule.
     """
     _check_rule(params, n_basis, rule)
     psi, dpsi = basis_table(params, n_basis, rule.nodes)
@@ -283,7 +278,17 @@ def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule,
             f"momentum matrix fails Hermiticity at {resid:.3e} ({resid / scale:.3e} of "
             f"hbar k^2); increase the quadrature order"
         )
-    return OperatorMatrix.from_dense(data, n_basis, bandwidth=bandwidth)
+    return data
+
+
+def build_X(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorMatrix:
+    """The tridiagonal band of `quadrature_X`."""
+    return OperatorMatrix.from_dense(quadrature_X(params, n_basis, rule), n_basis, bandwidth=1)
+
+
+def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorMatrix:
+    """The tridiagonal band of `quadrature_P`."""
+    return OperatorMatrix.from_dense(quadrature_P(params, n_basis, rule), n_basis, bandwidth=1)
 
 
 def build_H(params: ModelParams, n_basis: int) -> OperatorMatrix:
@@ -316,16 +321,55 @@ class OperatorSet(NamedTuple):
     bplus: OperatorMatrix
 
 
-def operator_set(params: ModelParams, n_basis: int, rule: QuadratureRule,
-                 bandwidth: int | None = 1) -> OperatorSet:
-    """Build X and P by quadrature with ``rule``, H from the spectrum, and
-    b, b+ from those three.  X and P keep their diagonals out to
-    ``bandwidth`` (all of them for None), and so do b and b+."""
-    x_op = build_X(params, n_basis, rule, bandwidth)
-    p_op = build_P(params, n_basis, rule, bandwidth)
+def quadrature_operators(params: ModelParams, n_basis: int,
+                         rule: QuadratureRule) -> tuple[OperatorSet, np.ndarray, np.ndarray]:
+    """`operator_set`, plus the dense quadrature X and P whose tridiagonal
+    bands it holds, for the checks of what lies off the band."""
+    x_dense = quadrature_X(params, n_basis, rule)
+    p_dense = quadrature_P(params, n_basis, rule)
+    x_op = OperatorMatrix.from_dense(x_dense, n_basis, bandwidth=1)
+    p_op = OperatorMatrix.from_dense(p_dense, n_basis, bandwidth=1)
     h_op = build_H(params, n_basis)
     b_op, bplus_op = assemble_b(params, x_op, p_op, h_op)
-    return OperatorSet(x_op, p_op, h_op, b_op, bplus_op)
+    return OperatorSet(x_op, p_op, h_op, b_op, bplus_op), x_dense, p_dense
+
+
+def operator_set(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorSet:
+    """X and P by quadrature with ``rule``, cut to their tridiagonal band, H
+    from the spectrum, and b, b+ from those three."""
+    return quadrature_operators(params, n_basis, rule)[0]
+
+
+def structure_residuals(params: ModelParams, x_dense: np.ndarray, p_dense: np.ndarray,
+                        margin: int) -> dict[str, float]:
+    """Hermiticity and band structure of the dense quadrature X and P, and of
+    the full-width b they make, on the trusted block of ``margin``.
+
+    Every entry counts, so these see whatever quadrature leaves off the
+    band that the algebra keeps.  b is formed elementwise, in the order of
+    `assemble_b`: (X d1 + (i hbar / m) P) (1 / 2 eps), d1 = eps + 2 sqrt(eps H).
+    """
+    keep = x_dense.shape[0] - margin
+    if keep < 1:
+        raise ValueError(f"margin {margin} leaves no trusted block at N = {x_dense.shape[0]}")
+    xt = x_dense[:keep, :keep]
+    pt = p_dense[:keep, :keep]
+    off_band = np.abs(np.triu(xt, 2)) + np.abs(np.tril(xt, -2))
+    eps = params.epsilon
+    d1 = eps + 2.0 * _sqrt_eh(params, keep)
+    b = (xt * d1 + (1j * params.hbar / params.mass) * pt) * (0.5 / eps)
+    ladder = np.ones_like(b, dtype=bool)
+    idx = np.arange(1, keep)
+    ladder[idx - 1, idx] = False
+    return {
+        "x_hermitian": float(np.max(np.abs(xt - xt.T))),
+        "x_structure": max(float(np.max(np.abs(np.diag(xt)))), float(np.max(off_band))),
+        "p_hermitian": float(np.max(np.abs(pt - pt.conj().T))),
+        "b_annihilates_ground": float(np.max(np.abs(b[:, 0]))),
+        "b_ladder_diagonal_alpha": float(max(abs(b[n - 1, n] - alpha(params, n))
+                                             for n in range(1, min(25, keep - 1) + 1))),
+        "b_off_ladder": float(np.max(np.abs(b[ladder]))),
+    }
 
 
 def bplus_second_form(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,
@@ -460,6 +504,21 @@ def adjointness_residual(params: ModelParams, efs: list[Eigenfunction],
     lhs = (psi * rule.weights) @ lower.T
     rhs = (upper * rule.weights) @ psi.T
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def wavefunction_residuals(params: ModelParams, n_states: int,
+                           rule: QuadratureRule) -> dict[str, float]:
+    """The Gram-matrix defect and `adjointness_residual` of the lowest
+    ``n_states`` levels, read from one `ladder_table` at the nodes of
+    ``rule``; equal to the per-state `gram_matrix` and
+    `adjointness_residual` to the bit."""
+    psi, lower, upper = ladder_table(params, n_states, rule.nodes)
+    weighted = psi * rule.weights
+    return {
+        "gram_identity": float(np.max(np.abs(weighted @ psi.T - np.eye(n_states)))),
+        "adjointness_quadrature": float(np.max(np.abs(
+            weighted @ lower.T - (upper * rule.weights) @ psi.T))),
+    }
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ __all__ = [
     "psi_value",
     "psi_deriv_value",
     "basis_table",
+    "ladder_table",
     "psi_second_deriv_value",
     "psi_value_legendre",
     "lowering_apply",
@@ -192,6 +193,23 @@ def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, n
     psi = c**nu * phi
     dpsi = params.k * c ** (nu - 1.0) * ((1.0 - s * s) * dphi - nu * s * phi)
     return psi, dpsi
+
+
+def ladder_table(params: ModelParams, n_basis: int,
+                 nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi_n with the lowering and raising actions on it, for n = 0 ..
+    n_basis-1 at the 1-d array ``nodes``, one row per level.
+
+    Row expressions on one `basis_table`, in the operation order of
+    `lowering_apply` and `raising_apply`, so the rows agree with those to
+    the bit.
+    """
+    psi, dpsi = basis_table(params, n_basis, nodes)
+    s, c = _trig(params, nodes)
+    m = (np.arange(n_basis) + params.nu)[:, None]
+    lower = (1.0 / params.k) * c * dpsi + m * s * psi
+    upper = (m + 1.0) / m * (-(1.0 / params.k) * c * dpsi + m * s * psi)
+    return psi, lower, upper
 
 
 def psi_second_deriv_value(ef: Eigenfunction, x):

@@ -9,9 +9,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ptdeform
 from ptdeform.cli import (
     SCHEMA_VERSION,
     TOLERANCES,
@@ -380,6 +385,14 @@ def test_main_rejects_non_finite_input(argv, flag, capsys):
         (["verify", "--nu", "2", "--mass", "1e-300"], "out of numerical range"),
         (["wavefunctions", "--nu", "1e10", "--n-max", "0", "--samples", "1"],
          "out of numerical range"),
+        # finite units whose eps E_n leaves double range: rejected by RunConfig,
+        # naming the unit flags
+        (["verify", "--nu", "2", "--hbar", "1e150"], "--hbar, --mass and --k"),
+        (["ladder", "--nu", "2", "--hbar", "1e150"], "--hbar, --mass and --k"),
+        (["scan-limit", "--hbar", "1e150"], "--hbar, --mass and --k"),
+        (["verify", "--nu", "2", "--k", "1e77"], "--hbar, --mass and --k"),
+        (["wavefunctions", "--nu", "2", "--k", "1e-160"], "--hbar, --mass and --k"),
+        (["verify", "--nu", "2", "--hbar", "1e-100"], "--hbar, --mass and --k"),  # underflows to 0
     ],
 )
 def test_main_rejects_out_of_range_input(argv, needle, capsys):
@@ -389,6 +402,25 @@ def test_main_rejects_out_of_range_input(argv, needle, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("ptdeform: error:")
     assert needle in err[0] and captured.out == ""
+
+
+def test_config_rejects_units_out_of_range_at_the_top_of_the_tower():
+    # eps E_n = eps^2 (n + nu)^2 grows with the basis size
+    RunConfig(nu=2.0, hbar=1e76, basis_size=8)
+    with pytest.raises(ValueError, match="--hbar, --mass and --k"):
+        RunConfig(nu=2.0, hbar=1e76, basis_size=200)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is imported only where it is used: the grid oracle and the
+    # version echo of verify
+    src = str(Path(ptdeform.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, ptdeform.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_main_momentum_hermiticity_check_scales_with_units(capsys):

@@ -27,8 +27,10 @@ from ptdeform.opmat import (
     OperatorMatrix,
     QuadratureOrderError,
     adjointness_residual,
+    assemble_b,
     bplus_second_form,
     build_grid_hamiltonian,
+    build_H,
     build_P,
     build_su11,
     build_X,
@@ -41,11 +43,15 @@ from ptdeform.opmat import (
     grid_spectrum,
     identity,
     operator_set,
+    quadrature_P,
+    quadrature_X,
+    structure_residuals,
     su11_ordering_residual,
     su11_residuals,
+    wavefunction_residuals,
 )
 from ptdeform.specfun import QuadratureRule, gauss_legendre
-from ptdeform.wavefun import build_eigenfunction, psi_deriv_value, psi_value
+from ptdeform.wavefun import build_eigenfunction, gram_matrix, psi_deriv_value, psi_value
 
 N = 30
 MARGIN = 4
@@ -155,15 +161,6 @@ def test_band_algebra_is_exact_on_integers(n_basis, left, right):
     assert (a @ b).bandwidth == min(a.bandwidth + b.bandwidth, n_basis - 1)
 
 
-def test_banded_drops_the_outer_diagonals():
-    m = np.arange(1.0, 26.0).reshape(5, 5)
-    op = OperatorMatrix.from_dense(m, 5, trust_margin=1)
-    narrow = op.banded(1)
-    assert (narrow.bandwidth, narrow.trust_margin) == (1, 1)
-    assert np.array_equal(_dense(narrow), np.triu(np.tril(m, 1), -1))
-    assert op.banded(0).bandwidth == 0 and op.banded(9).bandwidth == 4
-
-
 def test_band_algebra_never_goes_dense():
     # at N = 2000 a dense complex N x N array takes 64 MB
     n_basis = 2000
@@ -263,9 +260,9 @@ def test_x_and_p_are_the_per_state_quadrature(n_basis, nu):
     x_ref = (psi * (rule.weights * s)) @ psi.T
     pvals = -1j * hbar * k * c * dpsi + 0.5j * hbar * k**2 * s * psi
     p_ref = (psi * rule.weights) @ pvals.T
-    assert np.array_equal(build_X(params, n_basis, rule, None).trusted(), x_ref.astype(complex))
-    assert np.array_equal(build_P(params, n_basis, rule, None).trusted(), p_ref)
-    # by default only the tridiagonal band is kept
+    assert np.array_equal(quadrature_X(params, n_basis, rule), x_ref)
+    assert np.array_equal(quadrature_P(params, n_basis, rule), p_ref)
+    # the operators keep only the tridiagonal band
     for built, ref in ((build_X(params, n_basis, rule), x_ref), (build_P(params, n_basis, rule), p_ref)):
         assert built.bandwidth == 1
         assert all(np.array_equal(built.diagonals[p], np.diagonal(ref, p)) for p in (-1, 0, 1))
@@ -274,24 +271,24 @@ def test_x_and_p_are_the_per_state_quadrature(n_basis, nu):
 @pytest.mark.parametrize("nu", NU_SET)
 def test_x_matrix_closed_form(nu):
     params, rule, *_ = operators(nu)
-    x_op = build_X(params, N, rule, None)  # every quadrature entry, off the band too
+    x = quadrature_X(params, N, rule)  # every quadrature entry, off the band too
     n = np.arange(N - 1)
     closed = np.sqrt((n + 1) * (n + 2 * nu)) / (2.0 * np.sqrt((n + nu) * (n + nu + 1)))
     band = np.diag(closed, 1) + np.diag(closed, -1)
-    assert float(np.max(np.abs(x_op.trusted() - band))) < 1e-10
-    assert x_op.hermiticity_residual() < 1e-10
+    assert float(np.max(np.abs(x - band))) < 1e-10
+    assert float(np.max(np.abs(x - x.T))) < 1e-10
 
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_p_matrix_closed_form(nu):
     params, rule, *_ = operators(nu)
-    p_op = build_P(params, N, rule, None)  # every quadrature entry, off the band too
+    p = quadrature_P(params, N, rule)  # every quadrature entry, off the band too
     n = np.arange(N - 1)
     x_band = np.sqrt((n + 1) * (n + 2 * nu)) / (2.0 * np.sqrt((n + nu) * (n + nu + 1)))
     p_band = -1j * (params.hbar * params.k**2 / 2.0) * (2.0 * (n + nu) + 1.0) * x_band
     closed = np.diag(p_band, 1) + np.diag(p_band.conj(), -1)
-    assert float(np.max(np.abs(p_op.trusted() - closed))) < 1e-10
-    assert p_op.hermiticity_residual() < 1e-10
+    assert float(np.max(np.abs(p - closed))) < 1e-10
+    assert float(np.max(np.abs(p - p.conj().T))) < 1e-10
 
 
 @pytest.mark.parametrize("k", [1.0, 1000.0])
@@ -300,11 +297,11 @@ def test_p_hermiticity_check_is_relative_to_its_scale(k):
     # any k, while a skewed rule breaks the integration by parts at any k
     params = ModelParams(nu=2.0, k=k)
     rule = gauss_legendre(2 * N + 60, *params.box)
-    build_P(params, N, rule)
+    quadrature_P(params, N, rule)
     skewed = QuadratureRule(rule.nodes, rule.weights * (1.0 + 1e-6 * np.cos(k * rule.nodes)),
                             rule.interval)
     with pytest.raises(QuadratureOrderError, match="Hermiticity"):
-        build_P(params, N, skewed)
+        quadrature_P(params, N, skewed)
 
 
 LEAK = 1e-6
@@ -312,21 +309,22 @@ LEAK = 1e-6
 
 def _leaky(build, entry):
     """``build`` with ``entry`` added at (0, 5) and its conjugate at (5, 0)."""
-    def leaky_build(params, n_basis, rule, bandwidth=1):
-        dense = build(params, n_basis, rule, None).trusted()
+    def leaky_build(params, n_basis, rule):
+        dense = build(params, n_basis, rule).copy()
         dense[0, 5] += entry
         dense[5, 0] += np.conj(entry)
-        return OperatorMatrix.from_dense(dense, n_basis, bandwidth=bandwidth)
+        return dense
     return leaky_build
 
 
 @pytest.mark.parametrize(
     "target, entry, relations",
-    [("build_X", LEAK, ("x_structure", "b_off_ladder")), ("build_P", 1j * LEAK, ("b_off_ladder",))],
+    [("quadrature_X", LEAK, ("x_structure", "b_off_ladder")),
+     ("quadrature_P", 1j * LEAK, ("b_off_ladder",))],
 )
 def test_off_band_quadrature_content_is_reported(monkeypatch, target, entry, relations):
     # the algebra keeps only the tridiagonal band of X and P; the structure
-    # relations read the full quadrature matrices, so content off the band
+    # relations read the dense quadrature arrays, so content off the band
     # stays visible
     clean = {r.name: r.residual for r in run_verification(RunConfig(nu=2.0)).relations}
     monkeypatch.setattr(opmat, target, _leaky(getattr(opmat, target), entry))
@@ -334,6 +332,70 @@ def test_off_band_quadrature_content_is_reported(monkeypatch, target, entry, rel
     for name in relations:
         assert clean[name] < 1e-3 * LEAK
         assert leaked[name] > 0.9 * LEAK
+
+
+BIT_SIZES = [8, 30, 120]
+BIT_NUS = [1.0, 1.294678, 3.7, 49.9]
+
+
+def _rule(params, n_basis):
+    return gauss_legendre(max(2 * n_basis + 60, math.ceil(2 * n_basis + 2 * params.nu + 10)),
+                          *params.box)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("nu", BIT_NUS)
+@pytest.mark.parametrize("n_basis", BIT_SIZES)
+def test_structure_residuals_match_the_full_width_operators(n_basis, nu, perturbed):
+    # reference: the same arrays stored at full width, b assembled from them,
+    # read through hermiticity_residual and trusted
+    params = ModelParams(nu=nu)
+    rule = _rule(params, n_basis)
+    x, p = quadrature_X(params, n_basis, rule), quadrature_P(params, n_basis, rule)
+    if perturbed:  # content off the band and off Hermiticity in every entry
+        rng = np.random.default_rng(n_basis)
+        x = x + 1e-6 * rng.standard_normal(x.shape)
+        p = p + 1e-6 * (rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape))
+    margin = 4
+    x_full = OperatorMatrix.from_dense(x, n_basis)
+    p_full = OperatorMatrix.from_dense(p, n_basis)
+    b_full, _ = assemble_b(params, x_full, p_full, build_H(params, n_basis))
+    xt = x_full.trusted(margin)
+    bt = b_full.trusted(margin)
+    keep = n_basis - margin
+    ladder = np.ones_like(bt, dtype=bool)
+    ladder[np.arange(keep - 1), np.arange(1, keep)] = False
+    expected = {
+        "x_hermitian": x_full.hermiticity_residual(margin),
+        "x_structure": max(float(np.max(np.abs(np.diag(xt)))),
+                           float(np.max(np.abs(np.triu(xt, 2)) + np.abs(np.tril(xt, -2)))),
+                           float(np.max(np.abs(xt.imag)))),
+        "p_hermitian": p_full.hermiticity_residual(margin),
+        "b_annihilates_ground": float(np.max(np.abs(bt[:, 0]))),
+        "b_ladder_diagonal_alpha": float(max(abs(bt[n - 1, n] - alpha(params, n))
+                                             for n in range(1, min(25, keep - 1) + 1))),
+        "b_off_ladder": float(np.max(np.abs(bt[ladder]))),
+    }
+    assert structure_residuals(params, x, p, margin) == expected
+
+
+@pytest.mark.parametrize("nu", BIT_NUS)
+@pytest.mark.parametrize("n_states", BIT_SIZES)
+def test_wavefunction_residuals_match_the_per_state_route(n_states, nu):
+    params = ModelParams(nu=nu)
+    rule = _rule(params, n_states)
+    efs = [build_eigenfunction(params, n) for n in range(n_states)]
+    assert wavefunction_residuals(params, n_states, rule) == {
+        "gram_identity": float(np.max(np.abs(gram_matrix(efs, rule) - np.eye(n_states)))),
+        "adjointness_quadrature": adjointness_residual(params, efs, rule),
+    }
+
+
+def test_structure_residuals_need_a_trusted_block():
+    params, rule, *_ = operators(2.0)
+    x, p = quadrature_X(params, N, rule), quadrature_P(params, N, rule)
+    with pytest.raises(ValueError):
+        structure_residuals(params, x, p, N)
 
 
 def test_x01_reference_value():

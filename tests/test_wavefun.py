@@ -27,6 +27,7 @@ from ptdeform.wavefun import (
     build_eigenfunction,
     chebyshev_points,
     gram_matrix,
+    ladder_table,
     lowering_apply,
     norm0,
     norm_n,
@@ -211,6 +212,18 @@ def test_basis_table_is_the_per_state_stack(n_basis, nu):
     efs = [build_eigenfunction(p, n) for n in range(n_basis)]
     assert np.array_equal(psi, np.array([psi_value(ef, nodes) for ef in efs]))
     assert np.array_equal(dpsi, np.array([psi_deriv_value(ef, nodes) for ef in efs]))
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 49.9])
+@pytest.mark.parametrize("n_basis", [1, 8, 30, 120])
+def test_ladder_table_is_the_per_state_stack(n_basis, nu):
+    p = ModelParams(nu=nu)
+    nodes = rule_for(p, n_basis).nodes
+    psi, lower, upper = ladder_table(p, n_basis, nodes)
+    efs = [build_eigenfunction(p, n) for n in range(n_basis)]
+    assert np.array_equal(psi, np.array([psi_value(ef, nodes) for ef in efs]))
+    assert np.array_equal(lower, np.array([lowering_apply(ef, nodes) for ef in efs]))
+    assert np.array_equal(upper, np.array([raising_apply(ef, nodes) for ef in efs]))
 
 
 def test_basis_table_validation():
