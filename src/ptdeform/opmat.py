@@ -232,6 +232,11 @@ def energy_diag(params: ModelParams, n_basis: int, fn) -> OperatorMatrix:
     return diag_operator([fn(params, energy(params, n)) for n in range(n_basis)], n_basis)
 
 
+def _row_blocks(table: np.ndarray, size: int = 32):
+    """Slices of ``size`` rows that cover ``table``."""
+    return (slice(i, i + size) for i in range(0, table.shape[0], size))
+
+
 def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None:
     if n_basis < 2:
         raise ValueError(f"basis size must be >= 2, got {n_basis}")
@@ -250,7 +255,7 @@ def quadrature_X(params: ModelParams, n_basis: int, rule: QuadratureRule) -> np.
     """The N x N quadrature matrix of X = sin(kx), every entry kept; real
     and symmetric, tridiagonal with zero diagonal up to quadrature error."""
     _check_rule(params, n_basis, rule)
-    psi, _ = basis_table(params, n_basis, rule.nodes)
+    psi = basis_table(params, n_basis, rule.nodes)[0]
     s = np.sin(params.k * rule.nodes)
     return (psi * (rule.weights * s)) @ psi.T
 
@@ -263,14 +268,29 @@ def quadrature_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> np.
     derivative of each state, so quadrature is the only error source.
     Raises `QuadratureOrderError` if the matrix fails Hermiticity at 1e-8
     relative to the scale hbar k^2 of P, which signals an inadequate rule.
+
+    The complex tables are filled a block of rows at a time and each real
+    table is dropped once it is used, so at most two complex and one real
+    table are alive at once.
     """
     _check_rule(params, n_basis, rule)
     psi, dpsi = basis_table(params, n_basis, rule.nodes)
     s = np.sin(params.k * rule.nodes)
     c = np.cos(params.k * rule.nodes)
     hbar, k = params.hbar, params.k
-    pvals = -1j * hbar * k * c * dpsi + 0.5j * hbar * k**2 * s * psi
-    data = (psi * rule.weights) @ pvals.T
+    # pvals = -i hbar k c dpsi + (i/2) hbar k^2 s psi, row block by row block
+    deriv_factor = -1j * hbar * k * c
+    value_factor = 0.5j * hbar * k**2 * s
+    pvals = np.empty(psi.shape, dtype=complex)
+    for rows in _row_blocks(psi):
+        np.multiply(deriv_factor, dpsi[rows], out=pvals[rows])
+        pvals[rows] += value_factor * psi[rows]
+    del dpsi
+    weighted = np.empty(psi.shape, dtype=complex)
+    np.multiply(psi, rule.weights, out=weighted)
+    del psi
+    data = weighted @ pvals.T
+    del weighted, pvals
     resid = float(np.max(np.abs(data - data.conj().T)))
     scale = hbar * k**2
     if resid > 1e-8 * scale:
@@ -354,22 +374,30 @@ def structure_residuals(params: ModelParams, x_dense: np.ndarray, p_dense: np.nd
         raise ValueError(f"margin {margin} leaves no trusted block at N = {x_dense.shape[0]}")
     xt = x_dense[:keep, :keep]
     pt = p_dense[:keep, :keep]
-    off_band = np.abs(np.triu(xt, 2)) + np.abs(np.tril(xt, -2))
+    out = {"x_hermitian": float(np.max(np.abs(xt - xt.T)))}
+    idx = np.arange(keep)
+    off_band = np.abs(xt)
+    diagonal = float(np.max(off_band[idx, idx]))
+    off_band[idx, idx] = 0.0
+    off_band[idx[:-1], idx[1:]] = 0.0
+    off_band[idx[1:], idx[:-1]] = 0.0
+    out["x_structure"] = max(diagonal, float(np.max(off_band)))
+    del off_band
+    out["p_hermitian"] = float(np.max(np.abs(pt - pt.conj().T)))
+
     eps = params.epsilon
     d1 = eps + 2.0 * _sqrt_eh(params, keep)
-    b = (xt * d1 + (1j * params.hbar / params.mass) * pt) * (0.5 / eps)
-    ladder = np.ones_like(b, dtype=bool)
-    idx = np.arange(1, keep)
-    ladder[idx - 1, idx] = False
-    return {
-        "x_hermitian": float(np.max(np.abs(xt - xt.T))),
-        "x_structure": max(float(np.max(np.abs(np.diag(xt)))), float(np.max(off_band))),
-        "p_hermitian": float(np.max(np.abs(pt - pt.conj().T))),
-        "b_annihilates_ground": float(np.max(np.abs(b[:, 0]))),
-        "b_ladder_diagonal_alpha": float(max(abs(b[n - 1, n] - alpha(params, n))
-                                             for n in range(1, min(25, keep - 1) + 1))),
-        "b_off_ladder": float(np.max(np.abs(b[ladder]))),
-    }
+    b = (1j * params.hbar / params.mass) * pt
+    b += xt * d1
+    b *= 0.5 / eps
+    out["b_annihilates_ground"] = float(np.max(np.abs(b[:, 0])))
+    out["b_ladder_diagonal_alpha"] = float(max(abs(b[n - 1, n] - alpha(params, n))
+                                               for n in range(1, min(25, keep - 1) + 1)))
+    off_ladder = np.abs(b)
+    del b
+    off_ladder[idx[:-1], idx[1:]] = 0.0
+    out["b_off_ladder"] = float(np.max(off_ladder))
+    return out
 
 
 def bplus_second_form(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,

@@ -180,19 +180,28 @@ def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, n
     in place of one recurrence per state.  The arithmetic is the same, in
     the same order, as `psi_value` and `psi_deriv_value` on the states of
     `build_eigenfunction`, so the rows agree with those to the bit.
+
+    The products are taken in place, so no more than three tables are
+    alive at once (the two results and one Gegenbauer row).
     """
     if n_basis < 1:
         raise ValueError(f"basis size must be >= 1, got {n_basis}")
     nu = params.nu
     s, c = _trig(params, nodes)
     norms = np.array([norm_n(params, n) for n in range(n_basis)])
-    phi = norms[:, None] * gegenbauer_row(n_basis - 1, nu, s)
+    phi = gegenbauer_row(n_basis - 1, nu, s)
+    phi *= norms[:, None]
     dphi = np.zeros_like(phi)
     if n_basis >= 2:
-        dphi[1:] = (norms[1:] * (2.0 * nu))[:, None] * gegenbauer_row(n_basis - 2, nu + 1.0, s)
+        dphi[1:] = gegenbauer_row(n_basis - 2, nu + 1.0, s)
+        dphi[1:] *= (norms[1:] * (2.0 * nu))[:, None]
     psi = c**nu * phi
-    dpsi = params.k * c ** (nu - 1.0) * ((1.0 - s * s) * dphi - nu * s * phi)
-    return psi, dpsi
+    # dpsi = k c^(nu-1) ((1 - s^2) dphi - nu s phi), built in the storage of dphi
+    dphi *= 1.0 - s * s
+    phi *= nu * s
+    dphi -= phi
+    dphi *= params.k * c ** (nu - 1.0)
+    return psi, dphi
 
 
 def ladder_table(params: ModelParams, n_basis: int,

@@ -268,6 +268,28 @@ def test_x_and_p_are_the_per_state_quadrature(n_basis, nu):
         assert all(np.array_equal(built.diagonals[p], np.diagonal(ref, p)) for p in (-1, 0, 1))
 
 
+def test_quadrature_builders_hold_few_tables():
+    # A table is one real N x Q array of the basis.  Written as whole-array
+    # expressions, quadrature_X held five tables at once and quadrature_P
+    # eight; with that many large temporaries the resident peak of a verify
+    # depended on where the allocator happened to place them.
+    n_basis = 240
+    params = ModelParams(nu=3.7)
+    rule = gauss_legendre(2 * n_basis + 60, *params.box)
+    table = n_basis * rule.nodes.size * 8
+    tracemalloc.start()
+    try:
+        quadrature_X(params, n_basis, rule)
+        x_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        quadrature_P(params, n_basis, rule)
+        p_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x_peak < 3.5 * table
+    assert p_peak < 5.5 * table
+
+
 @pytest.mark.parametrize("nu", NU_SET)
 def test_x_matrix_closed_form(nu):
     params, rule, *_ = operators(nu)
