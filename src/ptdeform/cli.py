@@ -42,6 +42,7 @@ from .algebra import (
     su11_matrix_elements,
 )
 from .opmat import (
+    TRUST_MARGIN,
     bplus_second_form,
     build_X,  # noqa: F401  (perfbench/tests/test_spans.py patches it in this namespace)
     build_su11,
@@ -53,7 +54,6 @@ from .opmat import (
     grid_spectrum,
     identity,
     operator_set,
-    quadrature_operators,
     structure_residuals,
     su11_ordering_residual,
     su11_residuals,
@@ -137,7 +137,6 @@ class RunConfig:
     out_path: str | None = None
     use_uncorrected_f: bool = False
     tolerance_scale: float = 1.0
-    trust_margin: int = 4
 
     def __post_init__(self) -> None:
         if (self.nu is None) == (self.v0 is None):
@@ -154,8 +153,6 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if not 0.0 < self.tolerance_scale < math.inf:
             raise ValueError("--tolerance-scale must be positive and finite")
-        if self.trust_margin < 0 or self.trust_margin >= self.basis_size - 1:
-            raise ValueError("trust margin must leave a nonempty trusted block")
         params = self.params()  # validates nu / v0 ranges
         # b and the Casimir relations take sqrt(eps H) and eps^2; both stay in
         # double range when eps E_n = eps^2 (n + nu)^2 does for every level
@@ -204,7 +201,7 @@ class RunConfig:
             "basis_size": self.basis_size,
             "quadrature_order": self.effective_quadrature_order,
             "grid_points": self.grid_points,
-            "trust_margin": self.trust_margin,
+            "trust_margin": TRUST_MARGIN,
             "use_uncorrected_f": self.use_uncorrected_f,
             "tolerance_scale": self.tolerance_scale,
         }
@@ -248,26 +245,6 @@ class VerificationReport:
             "wall_time_s": self.wall_time_s,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(
-            model=dict(d["model"]),
-            relations=tuple(
-                RelationResult(
-                    name=r["name"],
-                    residual=r["residual"],
-                    tolerance=r["tolerance"],
-                    passed=r["pass"],
-                )
-                for r in d["relations"]
-            ),
-            overall_pass=d["overall_pass"],
-            versions=dict(d["versions"]),
-            timestamp=d["timestamp"],
-            wall_time_s=d["wall_time_s"],
-            schema_version=d["schema_version"],
-        )
-
 
 def _versions() -> dict:
     # imported here: scipy adds to the start-up of every command, and only
@@ -291,7 +268,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
     t0 = time.perf_counter()
     params = config.params()
     n_basis = config.basis_size
-    margin = config.trust_margin
+    margin = TRUST_MARGIN
     rule = config.quadrature(params)
     nu = params.nu
     eps = params.epsilon
@@ -367,8 +344,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
     # The algebra runs on the tridiagonal band of X, P and b; the structure
     # relations read the dense quadrature X and P, so content off the band
     # still shows.
-    (x_op, p_op, h_op, b_op, bplus_op), x_dense, p_dense = quadrature_operators(
-        params, n_basis, rule)
+    x_op, p_op, h_op, b_op, bplus_op, x_dense, p_dense = operator_set(params, n_basis, rule)
     one = identity(n_basis)
     structure = structure_residuals(params, x_dense, p_dense, margin)
     checks.extend((name, structure.pop(name))
@@ -535,18 +511,16 @@ def cmd_wavefunctions(config: RunConfig, n_max: int, samples: int) -> dict:
 def cmd_ladder(config: RunConfig, n_max: int) -> dict:
     params = config.params()
     b_op = operator_set(params, config.basis_size, config.quadrature(params)).b
-    keep = config.basis_size - config.trust_margin
+    keep = config.basis_size - TRUST_MARGIN
     recur = alpha_by_recursion(params, n_max)
     rows = []
     for n in range(n_max + 1):
         a_closed = alpha(params, n)
-        row = [n, a_closed, recur[n], abs(a_closed - recur[n])]
-        if 1 <= n <= keep - 1:
-            b_entry = float(b_op.diagonals[1][n - 1].real)
-            row += [b_entry, abs(b_entry - a_closed)]
-        else:
-            row += [None, None]
-        rows.append(row)
+        b_entry = float(b_op.diagonals[1][n - 1].real) if 1 <= n <= keep - 1 else None
+        # one list per row: the payload keeps every row, and extending a
+        # shorter list over-allocates it
+        rows.append([n, a_closed, recur[n], abs(a_closed - recur[n]),
+                     b_entry, None if b_entry is None else abs(b_entry - a_closed)])
     return _table_payload(
         "ladder", config, params,
         columns=["n", "alpha_closed", "alpha_recursion", "alpha_diff",
@@ -563,11 +537,11 @@ def cmd_scan_limit(config: RunConfig, nu_values: list[float]) -> dict:
         ops = operator_set(params, config.basis_size, config.quadrature(params))
         f_diag = energy_diag(params, config.basis_size, f_of_uncorrected)
         resid = commutator(ops.b, ops.bplus) + f_diag
-        diag = np.real(resid.diagonal(0, config.trust_margin))
+        diag = np.real(resid.diagonal(0, TRUST_MARGIN))
         strength = nu * (nu - 1.0)
         rows.append([
             nu,
-            resid.max_abs(config.trust_margin),
+            resid.max_abs(TRUST_MARGIN),
             float(diag[0]),
             float(diag[1]),
             float(np.mean(np.abs(diag))),

@@ -6,11 +6,12 @@ by Gauss-Legendre quadrature against the exact eigenfunctions; H and all
 functions of H are diagonal.  Every operator of the algebra is banded:
 X, P and b couple |n> only to |n +- 1>.  `OperatorMatrix` therefore stores
 an operator as its diagonals out to its ``bandwidth``, so a product costs
-O(N w1 w2) and a sum or a norm O(N w).  `quadrature_X` and
-`quadrature_P` return the full N x N quadrature arrays; `build_X`,
-`build_P` and `operator_set` keep only their tridiagonal band.  The
-structure checks of `structure_residuals` read the dense arrays, so
-whatever quadrature puts off the band is measured before it is dropped.
+O(N w1 w2) and a sum or a norm O(N w).  `quadrature_XP` returns the full
+N x N quadrature arrays of X and P from one basis table; `operator_set`,
+the one builder of the X/P/H/b/b+ set, keeps their tridiagonal band and
+the dense arrays beside it.  The structure checks of
+`structure_residuals` read the dense arrays, so whatever quadrature puts
+off the band is measured before it is dropped.
 
 Because the basis is truncated at ``basis_size``, entries near the edge
 of a product matrix are contaminated by the missing tail of the sum.
@@ -51,14 +52,13 @@ __all__ = [
     "identity",
     "diag_operator",
     "energy_diag",
-    "quadrature_X",
-    "quadrature_P",
+    "TRUST_MARGIN",
+    "quadrature_XP",
     "build_X",
     "build_P",
     "build_H",
     "assemble_b",
     "OperatorSet",
-    "quadrature_operators",
     "operator_set",
     "structure_residuals",
     "bplus_second_form",
@@ -74,6 +74,12 @@ __all__ = [
     "build_grid_hamiltonian",
     "grid_spectrum",
 ]
+
+
+# Trailing rows/columns of the tower that every operator residual leaves
+# out, on top of the margin each product tracks; reports echo it as
+# "trust_margin".
+TRUST_MARGIN = 4
 
 
 class QuadratureOrderError(ValueError):
@@ -251,27 +257,21 @@ def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None
         raise ValueError(f"quadrature interval {rule.interval} does not match the box ({a}, {b})")
 
 
-def quadrature_X(params: ModelParams, n_basis: int, rule: QuadratureRule) -> np.ndarray:
-    """The N x N quadrature matrix of X = sin(kx), every entry kept; real
-    and symmetric, tridiagonal with zero diagonal up to quadrature error."""
-    _check_rule(params, n_basis, rule)
-    psi = basis_table(params, n_basis, rule.nodes)[0]
-    s = np.sin(params.k * rule.nodes)
-    return (psi * (rule.weights * s)) @ psi.T
+def quadrature_XP(params: ModelParams, n_basis: int,
+                  rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """The N x N quadrature matrices of X = sin(kx) and of the deformed
+    momentum P = k [cos(kx) p + (i hbar k / 2) sin(kx)], every entry kept,
+    from one basis table at the nodes of ``rule``.
 
+    X is real and symmetric, tridiagonal with zero diagonal up to
+    quadrature error.  P applies p = -i hbar d/dx literally to the exact
+    closed-form derivative of each state, so quadrature is the only error
+    source.  Raises `QuadratureOrderError` if P fails Hermiticity at 1e-8
+    relative to its scale hbar k^2, which signals an inadequate rule.
 
-def quadrature_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> np.ndarray:
-    """The N x N quadrature matrix of the deformed momentum
-    P = k [cos(kx) p + (i hbar k / 2) sin(kx)], every entry kept.
-
-    Applied literally with p = -i hbar d/dx and the exact closed-form
-    derivative of each state, so quadrature is the only error source.
-    Raises `QuadratureOrderError` if the matrix fails Hermiticity at 1e-8
-    relative to the scale hbar k^2 of P, which signals an inadequate rule.
-
-    The complex tables are filled a block of rows at a time and each real
-    table is dropped once it is used, so at most two complex and one real
-    table are alive at once.
+    The complex table of P psi is filled a block of rows at a time, psi'
+    is dropped once it is used, and psi is weighted in place after X is
+    formed, so at most two complex and one real table are alive at once.
     """
     _check_rule(params, n_basis, rule)
     psi, dpsi = basis_table(params, n_basis, rule.nodes)
@@ -286,29 +286,30 @@ def quadrature_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> np.
         np.multiply(deriv_factor, dpsi[rows], out=pvals[rows])
         pvals[rows] += value_factor * psi[rows]
     del dpsi
-    weighted = np.empty(psi.shape, dtype=complex)
-    np.multiply(psi, rule.weights, out=weighted)
+    x = (psi * (rule.weights * s)) @ psi.T
+    psi *= rule.weights
+    weighted = psi.astype(complex)
     del psi
-    data = weighted @ pvals.T
+    p = weighted @ pvals.T
     del weighted, pvals
-    resid = float(np.max(np.abs(data - data.conj().T)))
+    resid = float(np.max(np.abs(p - p.conj().T)))
     scale = hbar * k**2
     if resid > 1e-8 * scale:
         raise QuadratureOrderError(
             f"momentum matrix fails Hermiticity at {resid:.3e} ({resid / scale:.3e} of "
             f"hbar k^2); increase the quadrature order"
         )
-    return data
+    return x, p
 
 
 def build_X(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorMatrix:
-    """The tridiagonal band of `quadrature_X`."""
-    return OperatorMatrix.from_dense(quadrature_X(params, n_basis, rule), n_basis, bandwidth=1)
+    """The tridiagonal band of the quadrature X of `quadrature_XP`."""
+    return OperatorMatrix.from_dense(quadrature_XP(params, n_basis, rule)[0], n_basis, bandwidth=1)
 
 
 def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorMatrix:
-    """The tridiagonal band of `quadrature_P`."""
-    return OperatorMatrix.from_dense(quadrature_P(params, n_basis, rule), n_basis, bandwidth=1)
+    """The tridiagonal band of the quadrature P of `quadrature_XP`."""
+    return OperatorMatrix.from_dense(quadrature_XP(params, n_basis, rule)[1], n_basis, bandwidth=1)
 
 
 def build_H(params: ModelParams, n_basis: int) -> OperatorMatrix:
@@ -332,32 +333,28 @@ def assemble_b(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,
 
 
 class OperatorSet(NamedTuple):
-    """X, P, H and the ladder pair on one truncated tower."""
+    """X, P, H and the ladder pair on one truncated tower, with the dense
+    quadrature X and P whose tridiagonal bands they hold."""
 
     X: OperatorMatrix
     P: OperatorMatrix
     H: OperatorMatrix
     b: OperatorMatrix
     bplus: OperatorMatrix
-
-
-def quadrature_operators(params: ModelParams, n_basis: int,
-                         rule: QuadratureRule) -> tuple[OperatorSet, np.ndarray, np.ndarray]:
-    """`operator_set`, plus the dense quadrature X and P whose tridiagonal
-    bands it holds, for the checks of what lies off the band."""
-    x_dense = quadrature_X(params, n_basis, rule)
-    p_dense = quadrature_P(params, n_basis, rule)
-    x_op = OperatorMatrix.from_dense(x_dense, n_basis, bandwidth=1)
-    p_op = OperatorMatrix.from_dense(p_dense, n_basis, bandwidth=1)
-    h_op = build_H(params, n_basis)
-    b_op, bplus_op = assemble_b(params, x_op, p_op, h_op)
-    return OperatorSet(x_op, p_op, h_op, b_op, bplus_op), x_dense, p_dense
+    x_dense: np.ndarray
+    p_dense: np.ndarray
 
 
 def operator_set(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorSet:
     """X and P by quadrature with ``rule``, cut to their tridiagonal band, H
-    from the spectrum, and b, b+ from those three."""
-    return quadrature_operators(params, n_basis, rule)[0]
+    from the spectrum, and b, b+ from those three; the dense X and P are
+    kept for the checks of what lies off the band."""
+    x_dense, p_dense = quadrature_XP(params, n_basis, rule)
+    x_op = OperatorMatrix.from_dense(x_dense, n_basis, bandwidth=1)
+    p_op = OperatorMatrix.from_dense(p_dense, n_basis, bandwidth=1)
+    h_op = build_H(params, n_basis)
+    b_op, bplus_op = assemble_b(params, x_op, p_op, h_op)
+    return OperatorSet(x_op, p_op, h_op, b_op, bplus_op, x_dense, p_dense)
 
 
 def structure_residuals(params: ModelParams, x_dense: np.ndarray, p_dense: np.ndarray,
@@ -423,7 +420,7 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 
 def check_identity_12(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,
-                      H: OperatorMatrix, margin: int = 4) -> float:
+                      H: OperatorMatrix, margin: int = TRUST_MARGIN) -> float:
     """Residual of the operator form of the well strength,
 
         nu(nu-1) 1 = (1/4 eps^2) [ 2(eps^2 + 2 eps H) + X^2 (eps^2 - 4 eps H)
@@ -460,7 +457,7 @@ def casimir_matrices(params: ModelParams, b: OperatorMatrix,
 
 
 def extended_algebra_residuals(params: ModelParams, b: OperatorMatrix, bplus: OperatorMatrix,
-                               H: OperatorMatrix, margin: int = 4) -> dict[str, float]:
+                               H: OperatorMatrix, margin: int = TRUST_MARGIN) -> dict[str, float]:
     """Residuals of the extended-algebra relations: C commutes with H, b
     and b+, and the bilinear closure
 
@@ -497,7 +494,7 @@ def build_su11(params: ModelParams, b: OperatorMatrix, bplus: OperatorMatrix,
 
 
 def su11_residuals(params: ModelParams, j0: OperatorMatrix, jp: OperatorMatrix,
-                   jm: OperatorMatrix, margin: int = 4) -> dict[str, float]:
+                   jm: OperatorMatrix, margin: int = TRUST_MARGIN) -> dict[str, float]:
     """Residuals of [J0, J+-] = +-J+-, [J+, J-] = -2 J0, and the su(1,1)
     Casimir J- J+ - J0 (J0 + 1) = -nu(nu-1)."""
     n_basis = j0.basis_size
@@ -510,7 +507,8 @@ def su11_residuals(params: ModelParams, j0: OperatorMatrix, jp: OperatorMatrix,
     }
 
 
-def su11_ordering_residual(params: ModelParams, bplus: OperatorMatrix, margin: int = 4) -> float:
+def su11_ordering_residual(params: ModelParams, bplus: OperatorMatrix,
+                           margin: int = TRUST_MARGIN) -> float:
     """J+ written with the square-root factor on either side of b+ must
     give the same matrix: b+ sqrt(J0/(J0+1)) = sqrt((J0-1)/J0) b+."""
     n_basis = bplus.basis_size
@@ -584,7 +582,11 @@ def grid_spectrum(params: ModelParams, m_points: int, n_levels: int) -> np.ndarr
     if n_levels > m_points:
         raise ValueError("cannot ask for more levels than grid points")
     grid = build_grid_hamiltonian(params, m_points)
+    # in units of eps the entries depend on nu and the grid size only, not
+    # on hbar, m and k, so LAPACK's bisection never sees their squares overflow
+    eps = params.epsilon
     vals = eigh_tridiagonal(
-        grid.diag, grid.offdiag, eigvals_only=True, select="i", select_range=(0, n_levels - 1)
+        grid.diag / eps, grid.offdiag / eps, eigvals_only=True, select="i",
+        select_range=(0, n_levels - 1),
     )
-    return np.asarray(vals)
+    return np.asarray(vals) * eps

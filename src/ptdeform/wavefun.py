@@ -34,7 +34,6 @@ __all__ = [
     "psi_value_legendre",
     "lowering_apply",
     "raising_apply",
-    "overlap",
     "gram_matrix",
     "chebyshev_points",
     "square_well_state",
@@ -284,17 +283,6 @@ def raising_apply(ef: Eigenfunction, x):
     ) * s * psi_value(ef, x)
     val = (ef.n + p.nu + 1.0) / (ef.n + p.nu) * core
     return _shape(val, x)
-
-
-def overlap(ef_a: Eigenfunction, ef_b: Eigenfunction, rule: QuadratureRule) -> float:
-    """Quadrature inner product <psi_a | psi_b> over the box."""
-    if ef_a.params != ef_b.params:
-        raise ValueError("overlap requires both states to share model parameters")
-    a, b = ef_a.params.box
-    if not (math.isclose(rule.interval[0], a, rel_tol=1e-9, abs_tol=1e-12)
-            and math.isclose(rule.interval[1], b, rel_tol=1e-9, abs_tol=1e-12)):
-        raise ValueError(f"quadrature interval {rule.interval} does not match the box ({a}, {b})")
-    return float(rule.weights @ (psi_value(ef_a, rule.nodes) * psi_value(ef_b, rule.nodes)))
 
 
 def gram_matrix(efs: list[Eigenfunction], rule: QuadratureRule) -> np.ndarray:

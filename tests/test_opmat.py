@@ -20,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ptdeform import opmat
+from ptdeform import opmat, wavefun
 from ptdeform.algebra import ModelParams, alpha, energy, f_of, f_of_uncorrected
 from ptdeform.cli import RunConfig, run_verification
 from ptdeform.opmat import (
@@ -43,8 +43,7 @@ from ptdeform.opmat import (
     grid_spectrum,
     identity,
     operator_set,
-    quadrature_P,
-    quadrature_X,
+    quadrature_XP,
     structure_residuals,
     su11_ordering_residual,
     su11_residuals,
@@ -63,7 +62,8 @@ def operators(nu: float, n_basis: int = N):
     """params, rule, X, P, H, b, b+ at basis size n_basis (cached: every test shares them)."""
     params = ModelParams(nu=nu)
     rule = gauss_legendre(2 * n_basis + 60, *params.box)
-    return (params, rule, *operator_set(params, n_basis, rule))
+    ops = operator_set(params, n_basis, rule)
+    return params, rule, ops.X, ops.P, ops.H, ops.b, ops.bplus
 
 
 # ---------------------------------------------------------------------------
@@ -260,40 +260,73 @@ def test_x_and_p_are_the_per_state_quadrature(n_basis, nu):
     x_ref = (psi * (rule.weights * s)) @ psi.T
     pvals = -1j * hbar * k * c * dpsi + 0.5j * hbar * k**2 * s * psi
     p_ref = (psi * rule.weights) @ pvals.T
-    assert np.array_equal(quadrature_X(params, n_basis, rule), x_ref)
-    assert np.array_equal(quadrature_P(params, n_basis, rule), p_ref)
-    # the operators keep only the tridiagonal band
-    for built, ref in ((build_X(params, n_basis, rule), x_ref), (build_P(params, n_basis, rule), p_ref)):
-        assert built.bandwidth == 1
-        assert all(np.array_equal(built.diagonals[p], np.diagonal(ref, p)) for p in (-1, 0, 1))
+    x, p = quadrature_XP(params, n_basis, rule)
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(p, p_ref)
+    # the set holds the same dense arrays, and its operators (like build_X
+    # and build_P) keep only their tridiagonal band
+    ops = operator_set(params, n_basis, rule)
+    assert np.array_equal(ops.x_dense, x_ref)
+    assert np.array_equal(ops.p_dense, p_ref)
+    for bands, ref in (((ops.X, build_X(params, n_basis, rule)), x_ref),
+                       ((ops.P, build_P(params, n_basis, rule)), p_ref)):
+        for built in bands:
+            assert built.bandwidth == 1
+            assert all(np.array_equal(built.diagonals[p], np.diagonal(ref, p)) for p in (-1, 0, 1))
 
 
 def test_quadrature_builders_hold_few_tables():
     # A table is one real N x Q array of the basis.  Written as whole-array
-    # expressions, quadrature_X held five tables at once and quadrature_P
-    # eight; with that many large temporaries the resident peak of a verify
-    # depended on where the allocator happened to place them.
+    # expressions, the separate X and P builders held five and eight tables
+    # at once; with that many large temporaries the resident peak of a
+    # verify depended on where the allocator happened to place them.  X and
+    # P from one basis table must hold no more than P alone did then.
     n_basis = 240
     params = ModelParams(nu=3.7)
     rule = gauss_legendre(2 * n_basis + 60, *params.box)
     table = n_basis * rule.nodes.size * 8
     tracemalloc.start()
     try:
-        quadrature_X(params, n_basis, rule)
-        x_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        quadrature_P(params, n_basis, rule)
-        p_peak = tracemalloc.get_traced_memory()[1]
+        quadrature_XP(params, n_basis, rule)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert x_peak < 3.5 * table
-    assert p_peak < 5.5 * table
+    assert peak < 5.5 * table
+
+
+def _count_basis_tables(monkeypatch) -> list[int]:
+    """The basis size of every `basis_table` call made through opmat's or
+    wavefun's name for it, from here on."""
+    calls = []
+    original = wavefun.basis_table
+
+    def counted(params, n_basis, nodes):
+        calls.append(n_basis)
+        return original(params, n_basis, nodes)
+
+    for module in (opmat, wavefun):
+        monkeypatch.setattr(module, "basis_table", counted)
+    return calls
+
+
+def test_one_operator_set_evaluates_the_basis_once(monkeypatch):
+    calls = _count_basis_tables(monkeypatch)
+    params = ModelParams(nu=3.7)
+    operator_set(params, N, gauss_legendre(2 * N + 60, *params.box))
+    assert calls == [N]
+
+
+def test_one_verify_evaluates_the_basis_twice(monkeypatch):
+    # once for X and P, once for the 21 states of the wavefunction layer
+    calls = _count_basis_tables(monkeypatch)
+    run_verification(RunConfig(nu=2.0))
+    assert calls == [N, 21]
 
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_x_matrix_closed_form(nu):
     params, rule, *_ = operators(nu)
-    x = quadrature_X(params, N, rule)  # every quadrature entry, off the band too
+    x = quadrature_XP(params, N, rule)[0]  # every quadrature entry, off the band too
     n = np.arange(N - 1)
     closed = np.sqrt((n + 1) * (n + 2 * nu)) / (2.0 * np.sqrt((n + nu) * (n + nu + 1)))
     band = np.diag(closed, 1) + np.diag(closed, -1)
@@ -304,7 +337,7 @@ def test_x_matrix_closed_form(nu):
 @pytest.mark.parametrize("nu", NU_SET)
 def test_p_matrix_closed_form(nu):
     params, rule, *_ = operators(nu)
-    p = quadrature_P(params, N, rule)  # every quadrature entry, off the band too
+    p = quadrature_XP(params, N, rule)[1]  # every quadrature entry, off the band too
     n = np.arange(N - 1)
     x_band = np.sqrt((n + 1) * (n + 2 * nu)) / (2.0 * np.sqrt((n + nu) * (n + nu + 1)))
     p_band = -1j * (params.hbar * params.k**2 / 2.0) * (2.0 * (n + nu) + 1.0) * x_band
@@ -319,37 +352,40 @@ def test_p_hermiticity_check_is_relative_to_its_scale(k):
     # any k, while a skewed rule breaks the integration by parts at any k
     params = ModelParams(nu=2.0, k=k)
     rule = gauss_legendre(2 * N + 60, *params.box)
-    quadrature_P(params, N, rule)
+    quadrature_XP(params, N, rule)
     skewed = QuadratureRule(rule.nodes, rule.weights * (1.0 + 1e-6 * np.cos(k * rule.nodes)),
                             rule.interval)
     with pytest.raises(QuadratureOrderError, match="Hermiticity"):
-        quadrature_P(params, N, skewed)
+        quadrature_XP(params, N, skewed)
 
 
 LEAK = 1e-6
 
 
-def _leaky(build, entry):
-    """``build`` with ``entry`` added at (0, 5) and its conjugate at (5, 0)."""
+def _leaky(build, which, entry):
+    """``build`` with ``entry`` added at (0, 5) of its ``which``-th array and
+    its conjugate at (5, 0)."""
     def leaky_build(params, n_basis, rule):
-        dense = build(params, n_basis, rule).copy()
-        dense[0, 5] += entry
-        dense[5, 0] += np.conj(entry)
-        return dense
+        pair = list(build(params, n_basis, rule))
+        pair[which] = pair[which].copy()
+        pair[which][0, 5] += entry
+        pair[which][5, 0] += np.conj(entry)
+        return tuple(pair)
     return leaky_build
 
 
 @pytest.mark.parametrize(
-    "target, entry, relations",
-    [("quadrature_X", LEAK, ("x_structure", "b_off_ladder")),
-     ("quadrature_P", 1j * LEAK, ("b_off_ladder",))],
+    "which, entry, relations",
+    [(0, LEAK, ("x_structure", "b_off_ladder")),
+     (1, 1j * LEAK, ("b_off_ladder",))],
+    ids=["X", "P"],
 )
-def test_off_band_quadrature_content_is_reported(monkeypatch, target, entry, relations):
+def test_off_band_quadrature_content_is_reported(monkeypatch, which, entry, relations):
     # the algebra keeps only the tridiagonal band of X and P; the structure
     # relations read the dense quadrature arrays, so content off the band
     # stays visible
     clean = {r.name: r.residual for r in run_verification(RunConfig(nu=2.0)).relations}
-    monkeypatch.setattr(opmat, target, _leaky(getattr(opmat, target), entry))
+    monkeypatch.setattr(opmat, "quadrature_XP", _leaky(opmat.quadrature_XP, which, entry))
     leaked = {r.name: r.residual for r in run_verification(RunConfig(nu=2.0)).relations}
     for name in relations:
         assert clean[name] < 1e-3 * LEAK
@@ -373,7 +409,7 @@ def test_structure_residuals_match_the_full_width_operators(n_basis, nu, perturb
     # read through hermiticity_residual and trusted
     params = ModelParams(nu=nu)
     rule = _rule(params, n_basis)
-    x, p = quadrature_X(params, n_basis, rule), quadrature_P(params, n_basis, rule)
+    x, p = quadrature_XP(params, n_basis, rule)
     if perturbed:  # content off the band and off Hermiticity in every entry
         rng = np.random.default_rng(n_basis)
         x = x + 1e-6 * rng.standard_normal(x.shape)
@@ -415,7 +451,7 @@ def test_wavefunction_residuals_match_the_per_state_route(n_states, nu):
 
 def test_structure_residuals_need_a_trusted_block():
     params, rule, *_ = operators(2.0)
-    x, p = quadrature_X(params, N, rule), quadrature_P(params, N, rule)
+    x, p = quadrature_XP(params, N, rule)
     with pytest.raises(ValueError):
         structure_residuals(params, x, p, N)
 
@@ -623,6 +659,24 @@ def test_grid_spectrum_matches_closed_form(nu):
     exact = np.array([energy(p, n) for n in range(6)])
     grid = grid_spectrum(p, 2000, 6)
     assert np.max(np.abs(grid - exact) / exact) < 1e-4
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.294678, 1.5, 3.7, 25.0, 49.9])
+def test_grid_spectrum_is_solved_in_units_of_eps(nu):
+    from scipy.linalg import eigh_tridiagonal
+
+    # at eps = 1 the scaling is exact: the eigenvalues of the grid as built
+    p = ModelParams(nu=nu)
+    assert p.epsilon == 1.0
+    for m_points in (2000, 4000):
+        g = build_grid_hamiltonian(p, m_points)
+        direct = eigh_tridiagonal(g.diag, g.offdiag, eigvals_only=True, select="i",
+                                  select_range=(0, 5))
+        assert np.array_equal(grid_spectrum(p, m_points, 6), direct)
+    # in units of eps the spectrum does not depend on hbar, even where the
+    # grid's entries are ~1e156
+    big = ModelParams(nu=nu, hbar=1e75)
+    np.testing.assert_allclose(grid_spectrum(big, 4000, 6) / big.epsilon, direct, rtol=1e-12)
 
 
 def test_grid_second_order_convergence():

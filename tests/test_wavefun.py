@@ -14,7 +14,6 @@ gamma-function normalization, tanh-sinh quadrature for the integrals):
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from ptdeform.wavefun import (
     lowering_apply,
     norm0,
     norm_n,
-    overlap,
     psi_deriv_value,
     psi_second_deriv_value,
     psi_value,
@@ -309,35 +307,6 @@ def test_gram_is_identity(nu):
     efs = [build_eigenfunction(p, n) for n in range(21)]
     g = gram_matrix(efs, rule_for(p))
     assert float(np.max(np.abs(g - np.eye(21)))) < 1e-9
-
-
-def test_overlap_values_and_rescaling():
-    p = ModelParams(nu=2.0)
-    rule = rule_for(p)
-    e0 = build_eigenfunction(p, 0)
-    e2 = build_eigenfunction(p, 2)
-    assert overlap(e0, e0, rule) == pytest.approx(1.0, abs=1e-12)
-    assert overlap(e0, e2, rule) == pytest.approx(0.0, abs=1e-12)
-    doubled = replace(e0, basis_coeffs=tuple(2.0 * d for d in e0.basis_coeffs))
-    assert overlap(doubled, doubled, rule) == pytest.approx(4.0, abs=1e-11)
-    x = 0.37
-    assert psi_value(doubled, x) == pytest.approx(2.0 * psi_value(e0, x), rel=1e-13)
-
-
-def test_overlap_rejects_mismatched_states():
-    rule = rule_for(ModelParams(nu=2.0))
-    a = build_eigenfunction(ModelParams(nu=2.0), 0)
-    b = build_eigenfunction(ModelParams(nu=1.5), 0)
-    with pytest.raises(ValueError):
-        overlap(a, b, rule)
-
-
-def test_overlap_rejects_wrong_interval():
-    p = ModelParams(nu=2.0)
-    bad_rule = gauss_legendre(80, -1.0, 1.0)
-    e0 = build_eigenfunction(p, 0)
-    with pytest.raises(ValueError):
-        overlap(e0, e0, bad_rule)
 
 
 def test_gram_requires_states():
