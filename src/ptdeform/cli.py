@@ -42,6 +42,7 @@ from .algebra import (
     su11_matrix_elements,
 )
 from .opmat import (
+    MAX_QUADRATURE_ORDER,
     TRUST_MARGIN,
     bplus_second_form,
     build_X,  # noqa: F401  (perfbench/tests/test_spans.py patches it in this namespace)
@@ -54,6 +55,7 @@ from .opmat import (
     grid_spectrum,
     identity,
     operator_set,
+    quadrature_floor,
     structure_residuals,
     su11_ordering_residual,
     su11_residuals,
@@ -63,7 +65,7 @@ from .specfun import gauss_legendre
 from .wavefun import (
     build_eigenfunction,
     chebyshev_points,
-    lowering_apply,
+    ladder_table,
     psi_second_deriv_value,
     psi_value,
     psi_value_legendre,
@@ -158,7 +160,7 @@ class RunConfig:
         # double range when eps E_n = eps^2 (n + nu)^2 does for every level
         eps, top = params.epsilon, self.basis_size - 1
         try:
-            low, high = (eps * (eps * (n + params.nu) ** 2) for n in (0, top))
+            low, high = (eps * energy(params, n) for n in (0, top))
         except OverflowError:
             low = high = math.inf
         if not (low > 0.0 and math.isfinite(high)):
@@ -168,11 +170,18 @@ class RunConfig:
                 f"eps * E_{top} = {high:.3g})"
             )
         if self.quadrature_order is not None:
-            needed = math.ceil(2 * self.basis_size + 2 * params.nu + 10)
+            needed = quadrature_floor(params, self.basis_size)
             if self.quadrature_order < needed:
                 raise ValueError(
                     f"quadrature order {self.quadrature_order} is below the minimum {needed}"
                 )
+        order = self.effective_quadrature_order
+        if order > MAX_QUADRATURE_ORDER:
+            raise ValueError(
+                f"quadrature order {order} is above the maximum {MAX_QUADRATURE_ORDER}; "
+                f"lower --quadrature-order or --basis-size (the default order is "
+                f"2 * basis_size + 60)"
+            )
 
     def params(self) -> ModelParams:
         if self.nu is not None:
@@ -275,70 +284,36 @@ def run_verification(config: RunConfig) -> VerificationReport:
     checks: list[tuple[str, float]] = []
 
     # --- scalar layer ---------------------------------------------------
+    # Each level function is evaluated once per level; the relations read
+    # these lists, each in its own arithmetic.
     n_scan = 50
+    e = [energy(params, n) for n in range(n_scan + 1)]
+    f = [f_of(params, e_n) for e_n in e]
+    h = [h_of(params, e_n) for e_n in e]
     closed = [alpha(params, n) for n in range(n_scan + 1)]
     recur = alpha_by_recursion(params, n_scan)
-    checks.append((
-        "alpha_closed_vs_recursion",
-        max(_rel(c - r, c) for c, r in zip(closed, recur)),
-    ))
-    checks.append((
-        "g_grading",
-        max(
-            _rel(energy(params, n) - g_of(params, energy(params, n)) - energy(params, n - 1),
-                 energy(params, n))
-            for n in range(1, n_scan + 1)
-        ),
-    ))
-    checks.append((
-        "corrected_f_scalar",
-        max(
-            _rel(closed[n + 1] ** 2 - closed[n] ** 2 + f_of(params, energy(params, n)),
-                 f_of(params, energy(params, n)))
-            for n in range(n_scan)
-        ),
-    ))
-    checks.append((
-        "h_difference_equation",
-        max(
-            _rel(h_of(params, energy(params, n)) - h_of(params, energy(params, n - 1))
-                 - f_of(params, energy(params, n)),
-                 f_of(params, energy(params, n)))
-            for n in range(1, n_scan + 1)
-        ),
-    ))
+    jp = [su11_matrix_elements(params, n)[1] for n in range(n_scan + 1)]
     cas = casimir_eigenvalue(params)
-    checks.append((
-        "casimir_scalar",
-        max(
-            _rel(closed[n + 1] ** 2 + h_of(params, energy(params, n)) - cas, closed[n + 1] ** 2)
-            for n in range(n_scan)
-        ),
-    ))
-    checks.append((
-        "extended_scalar",
-        max(
+    steps, levels = range(n_scan), range(1, n_scan + 1)  # n -> n+1 and n-1 -> n
+    checks += [
+        ("alpha_closed_vs_recursion", max(_rel(c - r, c) for c, r in zip(closed, recur))),
+        ("g_grading", max(_rel(e[n] - g_of(params, e[n]) - e[n - 1], e[n]) for n in levels)),
+        ("corrected_f_scalar",
+         max(_rel(closed[n + 1] ** 2 - closed[n] ** 2 + f[n], f[n]) for n in steps)),
+        ("h_difference_equation", max(_rel(h[n] - h[n - 1] - f[n], f[n]) for n in levels)),
+        ("casimir_scalar",
+         max(_rel(closed[n + 1] ** 2 + h[n] - cas, closed[n + 1] ** 2) for n in steps)),
+        ("extended_scalar", max(
             _rel((n + nu) * closed[n + 1] ** 2 - (n + nu - 1.0) * closed[n] ** 2
                  - (cas + (n + nu) * (1.0 + 3.0 * (n + nu))),
                  (n + nu) * closed[n + 1] ** 2)
-            for n in range(n_scan)
-        ),
-    ))
-    jp = [su11_matrix_elements(params, n)[1] for n in range(n_scan + 1)]
-    checks.append((
-        "su11_scalar_closure",
-        max(
-            _rel(jp[n - 1] ** 2 - jp[n] ** 2 + 2.0 * (n + nu), (n + nu) ** 2)
-            for n in range(1, n_scan + 1)
-        ),
-    ))
-    checks.append((
-        "su11_scalar_casimir",
-        max(
+            for n in steps)),
+        ("su11_scalar_closure",
+         max(_rel(jp[n - 1] ** 2 - jp[n] ** 2 + 2.0 * (n + nu), (n + nu) ** 2) for n in levels)),
+        ("su11_scalar_casimir", max(
             _rel(jp[n] ** 2 - (n + nu) * (n + nu + 1.0) + params.strength(), (n + nu) ** 2)
-            for n in range(n_scan + 1)
-        ),
-    ))
+            for n in range(n_scan + 1))),
+    ]
 
     # --- operator layer ---------------------------------------------------
     # The algebra runs on the tridiagonal band of X, P and b; the structure
@@ -351,46 +326,23 @@ def run_verification(config: RunConfig) -> VerificationReport:
                   for name in ("x_hermitian", "x_structure", "p_hermitian"))
 
     ihbar_k2 = 1j * params.hbar * params.k**2
-    checks.append((
-        "commutator_x_p",
-        (commutator(x_op, p_op) - ihbar_k2 * (one - x_op @ x_op)).max_abs(margin),
-    ))
-    checks.append((
-        "commutator_h_x",
-        (commutator(h_op, x_op) + (1j * params.hbar / params.mass) * p_op).max_abs(margin),
-    ))
-    rhs_hp = ihbar_k2 * (
-        2.0 * (x_op @ h_op) - 0.5 * eps * x_op - (1j * params.hbar / params.mass) * p_op
-    )
-    checks.append(("commutator_h_p", (commutator(h_op, p_op) - rhs_hp).max_abs(margin)))
-
-    checks.extend(structure.items())  # the b_* relations
-
-    checks.append((
-        "bplus_second_form",
-        (bplus_second_form(params, x_op, p_op, h_op) - bplus_op).max_abs(margin),
-    ))
+    ihbar_m = 1j * params.hbar / params.mass
+    rhs_hp = ihbar_k2 * (2.0 * (x_op @ h_op) - 0.5 * eps * x_op - ihbar_m * p_op)
     g_diag = energy_diag(params, n_basis, g_of)
-    checks.append((
-        "commutator_h_b",
-        (commutator(h_op, b_op) + (b_op @ g_diag)).max_abs(margin),
-    ))
-    checks.append((
-        "commutator_h_bplus",
-        (commutator(h_op, bplus_op) - (g_diag @ bplus_op)).max_abs(margin),
-    ))
-
-    f_fn = f_of_uncorrected if config.use_uncorrected_f else f_of
-    f_diag = energy_diag(params, n_basis, f_fn)
-    checks.append((
-        "corrected_f_commutator",
-        (commutator(b_op, bplus_op) + f_diag).max_abs(margin),
-    ))
-
-    checks.append((
-        "operator_identity_strength",
-        check_identity_12(params, x_op, p_op, h_op, margin),
-    ))
+    f_diag = energy_diag(params, n_basis, f_of_uncorrected if config.use_uncorrected_f else f_of)
+    checks += [
+        ("commutator_x_p",
+         (commutator(x_op, p_op) - ihbar_k2 * (one - x_op @ x_op)).max_abs(margin)),
+        ("commutator_h_x", (commutator(h_op, x_op) + ihbar_m * p_op).max_abs(margin)),
+        ("commutator_h_p", (commutator(h_op, p_op) - rhs_hp).max_abs(margin)),
+        *structure.items(),  # the b_* relations
+        ("bplus_second_form",
+         (bplus_second_form(params, x_op, p_op, h_op) - bplus_op).max_abs(margin)),
+        ("commutator_h_b", (commutator(h_op, b_op) + (b_op @ g_diag)).max_abs(margin)),
+        ("commutator_h_bplus", (commutator(h_op, bplus_op) - (g_diag @ bplus_op)).max_abs(margin)),
+        ("corrected_f_commutator", (commutator(b_op, bplus_op) + f_diag).max_abs(margin)),
+        ("operator_identity_strength", check_identity_12(params, x_op, p_op, h_op, margin)),
+    ]
 
     c1, c2 = casimir_matrices(params, b_op, bplus_op)
     cas_target = cas * one
@@ -406,42 +358,42 @@ def run_verification(config: RunConfig) -> VerificationReport:
     checks.append(("su11_orderings_agree", su11_ordering_residual(params, bplus_op, margin)))
 
     # --- wavefunction layer ---------------------------------------------
-    efs = [build_eigenfunction(params, n) for n in range(11)]
+    # The closed-form states serve the ladder check and psi'', which no
+    # table holds; the 11 sampled states need them whatever N is.
+    n_ladder = min(25, n_basis - 1)
+    efs = [build_eigenfunction(params, n) for n in range(max(11, n_ladder + 1))]
     ladder_resid = 0.0
-    for n in range(min(25, n_basis - 1) + 1):
-        closed = np.asarray(build_eigenfunction(params, n, "closed_form").basis_coeffs)
+    for n in range(n_ladder + 1):
+        coeffs = np.asarray(efs[n].basis_coeffs)
         ladder = np.asarray(build_eigenfunction(params, n, "ladder").basis_coeffs)
-        scale = float(np.max(np.abs(closed)))
-        ladder_resid = max(ladder_resid, float(np.max(np.abs(ladder - closed))) / scale)
+        scale = float(np.max(np.abs(coeffs)))
+        ladder_resid = max(ladder_resid, float(np.max(np.abs(ladder - coeffs))) / scale)
     checks.append(("ladder_vs_closed_form", ladder_resid))
     checks.extend(wavefunction_residuals(params, 21, rule).items())
 
+    # psi and the lowering action of the sampled states, from one table
     points = chebyshev_points(params, 100)
-    checks.append((
-        "ground_state_annihilation",
-        float(np.max(np.abs(lowering_apply(efs[0], points)))),
-    ))
+    psi, lower, _ = ladder_table(params, 11, points)
+    checks.append(("ground_state_annihilation", float(np.max(np.abs(lower[0])))))
     leg_resid = max(
-        float(np.max(np.abs(psi_value(efs[n], points) - psi_value_legendre(params, n, points))))
+        float(np.max(np.abs(psi[n] - psi_value_legendre(params, n, points))))
         for n in range(11)
     )
     checks.append(("legendre_form_pointwise", leg_resid))
 
     schro = 0.0
     for n in range(11):
-        ef = efs[n]
-        e_n = energy(params, n)
-        psi = psi_value(ef, points)
         h_psi = (
-            -params.hbar**2 / (2.0 * params.mass) * psi_second_deriv_value(ef, points)
-            + params.v0 / np.cos(params.k * points) ** 2 * psi
+            -params.hbar**2 / (2.0 * params.mass) * psi_second_deriv_value(efs[n], points)
+            + params.v0 / np.cos(params.k * points) ** 2 * psi[n]
         )
-        schro = max(schro, float(np.max(np.abs(h_psi - e_n * psi))) / (abs(e_n) * float(np.max(np.abs(psi)))))
+        schro = max(schro, float(np.max(np.abs(h_psi - e[n] * psi[n])))
+                    / (abs(e[n]) * float(np.max(np.abs(psi[n])))))
     checks.append(("schrodinger_residual", schro))
 
     if nu == 1.0:
         sw_resid = max(
-            float(np.max(np.abs(psi_value(efs[n], points) - square_well_state(params, n, points))))
+            float(np.max(np.abs(psi[n] - square_well_state(params, n, points))))
             for n in range(11)
         )
         checks.append(("square_well_reduction", sw_resid))
@@ -450,7 +402,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
     grid = grid_spectrum(params, config.grid_points, 6)
     checks.append((
         "spectrum_grid_match",
-        max(abs(grid[n] - energy(params, n)) / energy(params, n) for n in range(6)),
+        max(abs(grid[n] - e[n]) / e[n] for n in range(6)),
     ))
 
     relations = tuple(
@@ -498,6 +450,8 @@ def cmd_wavefunctions(config: RunConfig, n_max: int, samples: int) -> dict:
     for n in range(n_max + 1):
         columns += [f"psi{n}_gegenbauer", f"psi{n}_legendre", f"psi{n}_diff"]
     rows = []
+    # state by state, not from a `ladder_table`: the table's rows give -0.0
+    # where psi_value gives 0.0 (x = 0, n = 3 mod 4), and the cells print it
     geg = [psi_value(ef, points) for ef in efs]
     leg = [psi_value_legendre(params, n, points) for n in range(n_max + 1)]
     for i, x in enumerate(points):
@@ -511,12 +465,12 @@ def cmd_wavefunctions(config: RunConfig, n_max: int, samples: int) -> dict:
 def cmd_ladder(config: RunConfig, n_max: int) -> dict:
     params = config.params()
     b_op = operator_set(params, config.basis_size, config.quadrature(params)).b
-    keep = config.basis_size - TRUST_MARGIN
+    b_ladder = b_op.diagonal(1, TRUST_MARGIN)  # <n-1|b|n> on the trusted block
     recur = alpha_by_recursion(params, n_max)
     rows = []
     for n in range(n_max + 1):
         a_closed = alpha(params, n)
-        b_entry = float(b_op.diagonals[1][n - 1].real) if 1 <= n <= keep - 1 else None
+        b_entry = float(b_ladder[n - 1].real) if 1 <= n <= b_ladder.size else None
         # one list per row: the payload keeps every row, and extending a
         # shorter list over-allocates it
         rows.append([n, a_closed, recur[n], abs(a_closed - recur[n]),

@@ -53,6 +53,8 @@ __all__ = [
     "diag_operator",
     "energy_diag",
     "TRUST_MARGIN",
+    "MAX_QUADRATURE_ORDER",
+    "quadrature_floor",
     "quadrature_XP",
     "build_X",
     "build_P",
@@ -80,6 +82,11 @@ __all__ = [
 # out, on top of the margin each product tracks; reports echo it as
 # "trust_margin".
 TRUST_MARGIN = 4
+
+# The largest quadrature order a run may ask for: building the Legendre
+# rule costs O(Q^2) (0.4 s at Q = 4000, 1.2 s at Q = 8000 on one Xeon core),
+# and no configuration of the battery needs more than about 1100.
+MAX_QUADRATURE_ORDER = 4096
 
 
 class QuadratureOrderError(ValueError):
@@ -243,10 +250,16 @@ def _row_blocks(table: np.ndarray, size: int = 32):
     return (slice(i, i + size) for i in range(0, table.shape[0], size))
 
 
+def quadrature_floor(params: ModelParams, n_basis: int) -> int:
+    """The lowest quadrature order the X/P matrices of the lowest ``n_basis``
+    states accept, ceil(2N + 2 nu + 10)."""
+    return math.ceil(2 * n_basis + 2 * params.nu + 10)
+
+
 def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None:
     if n_basis < 2:
         raise ValueError(f"basis size must be >= 2, got {n_basis}")
-    needed = math.ceil(2 * n_basis + 2 * params.nu + 10)
+    needed = quadrature_floor(params, n_basis)
     if rule.order < needed:
         raise QuadratureOrderError(
             f"quadrature order {rule.order} is below the required {needed} for N = {n_basis}"

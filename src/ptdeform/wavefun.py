@@ -178,7 +178,9 @@ def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, n
     derivatives, each scaled by the vector of N_n: O(n_basis * len(nodes))
     in place of one recurrence per state.  The arithmetic is the same, in
     the same order, as `psi_value` and `psi_deriv_value` on the states of
-    `build_eigenfunction`, so the rows agree with those to the bit.
+    `build_eigenfunction`, so the rows equal those entry by entry; the sign
+    of a zero may differ (at x = 0 the levels n = 3 mod 4 give -0.0 here
+    and 0.0 there).
 
     The products are taken in place, so no more than three tables are
     alive at once (the two results and one Gegenbauer row).
@@ -209,8 +211,8 @@ def ladder_table(params: ModelParams, n_basis: int,
     n_basis-1 at the 1-d array ``nodes``, one row per level.
 
     Row expressions on one `basis_table`, in the operation order of
-    `lowering_apply` and `raising_apply`, so the rows agree with those to
-    the bit.
+    `lowering_apply` and `raising_apply`, so the rows equal those entry by
+    entry; as in `basis_table`, the sign of a zero may differ.
     """
     psi, dpsi = basis_table(params, n_basis, nodes)
     s, c = _trig(params, nodes)

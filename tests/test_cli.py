@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import ptdeform
+from ptdeform import cli, opmat, wavefun
+from ptdeform.algebra import ModelParams
 from ptdeform.cli import (
     SCHEMA_VERSION,
     TOLERANCES,
@@ -31,6 +33,7 @@ from ptdeform.cli import (
     render_payload,
     run_verification,
 )
+from ptdeform.opmat import MAX_QUADRATURE_ORDER, quadrature_floor
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +90,24 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_quadrature_floor_is_inclusive():
     floor = math.ceil(2 * 30 + 2 * 2.0 + 10)
+    assert quadrature_floor(ModelParams(nu=2.0), 30) == floor
     cfg = RunConfig(nu=2.0, quadrature_order=floor)
     assert cfg.effective_quadrature_order == floor
+    with pytest.raises(ValueError, match=f"below the minimum {floor}"):
+        RunConfig(nu=2.0, quadrature_order=floor - 1)
+
+
+def test_config_caps_the_effective_quadrature_order():
+    # validation only: no rule is built at the cap
+    cap = MAX_QUADRATURE_ORDER
+    assert RunConfig(nu=2.0, quadrature_order=cap).effective_quadrature_order == cap
+    with pytest.raises(ValueError, match="--quadrature-order or --basis-size"):
+        RunConfig(nu=2.0, quadrature_order=cap + 1)
+    # the default order 2N + 60 reaches the cap through the basis size
+    top = (cap - 60) // 2
+    assert RunConfig(nu=2.0, basis_size=top).effective_quadrature_order <= cap
+    with pytest.raises(ValueError, match="--quadrature-order or --basis-size"):
+        RunConfig(nu=2.0, basis_size=top + 1)
 
 
 def test_default_quadrature_tracks_basis():
@@ -150,6 +169,31 @@ def test_uncorrected_f_fails_generic():
     failed = [r for r in report.relations if not r.passed]
     assert [r.name for r in failed] == ["corrected_f_commutator"]
     assert failed[0].residual == pytest.approx(1.0, abs=1e-6)
+
+
+def test_verify_reads_no_per_state_values(monkeypatch):
+    # the pointwise relations read one ladder_table at the sample points;
+    # the per-state routes stay as the tested reference
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-state evaluation on the verify path")
+
+    for module in (wavefun, opmat, cli):
+        for name in ("psi_value", "psi_deriv_value", "lowering_apply"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert run_verification(RunConfig(nu=1.0)).overall_pass
+
+
+def test_sampled_state_relations_do_not_depend_on_the_basis_size():
+    # the 11 sampled states are built whatever N is, down to N = 8
+    names = ("ground_state_annihilation", "legendre_form_pointwise", "schrodinger_residual",
+             "square_well_reduction")
+
+    def sampled(n_basis):
+        report = run_verification(RunConfig(nu=1.0, basis_size=n_basis))
+        return {r.name: r.residual for r in report.relations if r.name in names}
+
+    small = sampled(8)
+    assert small == sampled(30) and len(small) == len(names)
 
 
 def test_battery_is_deterministic(report_nu2):
@@ -390,6 +434,11 @@ def test_main_rejects_non_finite_input(argv, flag, capsys):
         (["verify", "--nu", "2", "--k", "1e77"], "--hbar, --mass and --k"),
         (["wavefunctions", "--nu", "2", "--k", "1e-160"], "--hbar, --mass and --k"),
         (["verify", "--nu", "2", "--hbar", "1e-100"], "--hbar, --mass and --k"),  # underflows to 0
+        # quadrature orders outside [floor, cap], rejected before a rule is built
+        (["ladder", "--nu", "2", "--quadrature-order", "100000000"],
+         "--quadrature-order or --basis-size"),
+        (["verify", "--nu", "2", "--basis-size", "100000"], "--quadrature-order or --basis-size"),
+        (["verify", "--nu", "50"], "below the required 170"),  # default order 120
     ],
 )
 def test_main_rejects_out_of_range_input(argv, needle, capsys):

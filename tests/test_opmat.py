@@ -316,11 +316,12 @@ def test_one_operator_set_evaluates_the_basis_once(monkeypatch):
     assert calls == [N]
 
 
-def test_one_verify_evaluates_the_basis_twice(monkeypatch):
-    # once for X and P, once for the 21 states of the wavefunction layer
+def test_one_verify_evaluates_one_basis_table_per_point_set(monkeypatch):
+    # for X and P at the nodes, for the 21 states of the wavefunction layer
+    # at the nodes, and for the 11 states sampled at the Chebyshev points
     calls = _count_basis_tables(monkeypatch)
     run_verification(RunConfig(nu=2.0))
-    assert calls == [N, 21]
+    assert calls == [N, 21, 11]
 
 
 @pytest.mark.parametrize("nu", NU_SET)
