@@ -123,6 +123,16 @@ TOLERANCES: dict[str, float] = {
 }
 
 
+def _check_strength(params: ModelParams, basis_size: int, flag: str) -> None:
+    """The one range of nu, for every command: a quadrature floor within the cap."""
+    cap = MAX_QUADRATURE_ORDER  # nu first: near nu = 1e308 the floor overflows
+    if params.nu > cap or quadrature_floor(params, basis_size) > cap:
+        raise ValueError(
+            f"nu = {params.nu:.6g} at N = {basis_size} puts the quadrature floor "
+            f"ceil(2N + 2nu + 10) above the maximum {cap}; lower {flag} or --basis-size"
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration shared by all subcommands."""
@@ -156,6 +166,7 @@ class RunConfig:
         if not 0.0 < self.tolerance_scale < math.inf:
             raise ValueError("--tolerance-scale must be positive and finite")
         params = self.params()  # validates nu / v0 ranges
+        _check_strength(params, self.basis_size, "--nu/--v0")
         # b and the Casimir relations take sqrt(eps H) and eps^2; both stay in
         # double range when eps E_n = eps^2 (n + nu)^2 does for every level
         eps, top = params.epsilon, self.basis_size - 1
@@ -680,9 +691,13 @@ def main(argv: list[str] | None = None) -> int:
                 nu_values = [float(s) for s in str(args.nu_list).split(",") if s.strip()]
                 if not nu_values or not all(1.0 <= nu < math.inf for nu in nu_values):
                     raise ValueError("--nu-list needs comma-separated finite values, each >= 1")
+                for nu in nu_values:
+                    _check_strength(ModelParams(nu=nu), args.basis_size, "--nu-list")
             n_max = getattr(args, "n_max", 0)
             if n_max < 0:
                 raise ValueError(f"--n-max must be >= 0, got {n_max}")
+            if getattr(args, "samples", 1) < 1:
+                raise ValueError(f"--samples must be >= 1, got {args.samples}")
             config = _config_from_args(args)
 
             if args.subcommand == "verify":

@@ -1,10 +1,8 @@
 """Special-function and quadrature primitives.
 
 Everything in this module is pure numerics with no model parameters:
-log-gamma, Gegenbauer polynomial values by three-term recurrence,
-associated Legendre functions of real degree and order through their
-Gegenbauer connection, and Gauss-Legendre rules with Newton-refined
-nodes.
+log-gamma, Gegenbauer polynomial values by three-term recurrence, and
+Gauss-Legendre rules with Newton-refined nodes.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ __all__ = [
     "QuadratureRule",
     "log_gamma",
     "gegenbauer_row",
-    "assoc_legendre",
     "gauss_legendre",
 ]
 
@@ -101,42 +98,6 @@ def gegenbauer_row(n_max: int, nu: float, x):
     for n in range(2, n_max + 1):
         out[n] = (2.0 * (n + nu - 1.0) * xa * out[n - 1] - (n + 2.0 * nu - 2.0) * out[n - 2]) / n
     return out
-
-
-def assoc_legendre(lam: float, mu: float, x):
-    """Associated Legendre ``P^mu_lam(x)`` on the Gegenbauer-connected family.
-
-    Supports the degree/order combinations lam = n + nu - 1/2,
-    mu = 1/2 - nu with integer n >= 0 and nu > 1/2, for |x| < 1, via
-
-        P^(1/2-nu)_(n+nu-1/2)(x) =
-            Gamma(2 nu) n! / (2^(nu-1/2) Gamma(nu+1/2) Gamma(n+2 nu))
-            * (1 - x^2)^(nu/2 - 1/4) * C_n^(nu)(x)
-
-    with the constant evaluated in log space.
-    """
-    nu = 0.5 - mu
-    if nu <= 0.5:
-        raise ValueError(f"order mu must satisfy mu < 0 (nu = 1/2 - mu > 1/2), got mu = {mu}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) >= 1.0):
-        raise ValueError("assoc_legendre requires |x| < 1")
-    n_real = lam + mu
-    n = round(n_real)
-    if n < 0 or abs(n_real - n) > 1e-9:
-        raise ValueError(
-            f"degree/order pair (lam={lam}, mu={mu}) is outside the integer-indexed family"
-        )
-    log_c = (
-        log_gamma(2.0 * nu)
-        + log_gamma(n + 1.0)
-        - (nu - 0.5) * math.log(2.0)
-        - log_gamma(nu + 0.5)
-        - log_gamma(n + 2.0 * nu)
-    )
-    cn = gegenbauer_row(n, nu, xa)[n]
-    val = math.exp(log_c) * (1.0 - xa * xa) ** (0.5 * nu - 0.25) * cn
-    return val if xa.shape else float(val)
 
 
 def gauss_legendre(q: int, a: float, b: float) -> QuadratureRule:

@@ -6,9 +6,10 @@ degree-n polynomial, stored as its coefficients on the Gegenbauer family
 C_j^(nu).  Two independent constructions are provided: the closed form
 phi_n = N_n C_n^(nu), and repeated application of the raising step to
 the constant ground-state factor.  A third route evaluates the same state
-through its associated Legendre representation.  Derivatives follow from
-d/dX C_j^(nu) = 2 nu C_{j-1}^(nu+1), so pointwise residuals of
-differential identities probe only floating-point rounding.
+through its associated Legendre representation, the Ferrers function
+written through its Gegenbauer connection with one log-space constant.
+Derivatives follow from d/dX C_j^(nu) = 2 nu C_{j-1}^(nu+1), so pointwise
+residuals of differential identities probe only floating-point rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ModelParams, alpha
-from .specfun import QuadratureRule, assoc_legendre, gegenbauer_row, log_gamma
+from .specfun import QuadratureRule, gegenbauer_row, log_gamma
 
 __all__ = [
     "Eigenfunction",
@@ -243,16 +244,24 @@ def psi_value_legendre(params: ModelParams, n: int, x):
     """The same bound state through its associated Legendre form,
 
     psi_n(x) = sqrt( k (n + nu) Gamma(n + 2 nu) / n! )
-               * cos^(1/2)(kx) * P^(1/2-nu)_(n+nu-1/2)(sin kx).
+               * cos^(1/2)(kx) * P^(1/2-nu)_(n+nu-1/2)(sin kx),
+
+    P through its Gegenbauer connection, Gamma(2 nu) n! (1 - X^2)^(nu/2 - 1/4)
+    C_n^(nu)(X) / (2^(nu-1/2) Gamma(nu+1/2) Gamma(n+2 nu)), with both
+    constants in one log.
     """
     if n < 0:
         raise ValueError(f"level index must be >= 0, got {n}")
     nu = params.nu
     s, c = _trig(params, x)
-    log_pref = 0.5 * (
-        math.log(params.k) + math.log(n + nu) + log_gamma(n + 2.0 * nu) - log_gamma(n + 1.0)
+    log_const = (
+        0.5 * (math.log(params.k) + math.log(n + nu) + log_gamma(n + 1.0) - log_gamma(n + 2.0 * nu))
+        + log_gamma(2.0 * nu)
+        - log_gamma(nu + 0.5)
+        - (nu - 0.5) * math.log(2.0)
     )
-    val = math.exp(log_pref) * np.sqrt(c) * assoc_legendre(n + nu - 0.5, 0.5 - nu, s)
+    cn = gegenbauer_row(n, nu, s)[n]
+    val = math.exp(log_const) * np.sqrt(c) * (1.0 - s * s) ** (0.5 * nu - 0.25) * cn
     return _shape(val, x)
 
 

@@ -424,8 +424,9 @@ def test_main_rejects_non_finite_input(argv, flag, capsys):
         (["ladder", "--nu", "2", "--n-max", "-1"], "--n-max"),
         # finite input that overflows deeper in: caught in main, no traceback
         (["verify", "--nu", "2", "--mass", "1e-300"], "out of numerical range"),
+        # a strength whose quadrature floor is above the cap: rejected by RunConfig
         (["wavefunctions", "--nu", "1e10", "--n-max", "0", "--samples", "1"],
-         "out of numerical range"),
+         "lower --nu/--v0 or --basis-size"),
         # finite units whose eps E_n leaves double range: rejected by RunConfig,
         # naming the unit flags
         (["verify", "--nu", "2", "--hbar", "1e150"], "--hbar, --mass and --k"),
@@ -437,8 +438,18 @@ def test_main_rejects_non_finite_input(argv, flag, capsys):
         # quadrature orders outside [floor, cap], rejected before a rule is built
         (["ladder", "--nu", "2", "--quadrature-order", "100000000"],
          "--quadrature-order or --basis-size"),
-        (["verify", "--nu", "2", "--basis-size", "100000"], "--quadrature-order or --basis-size"),
+        # the default order 2N + 60 above the cap, the floor 4052 below it
+        (["verify", "--nu", "2", "--basis-size", "2019"], "--quadrature-order or --basis-size"),
         (["verify", "--nu", "50"], "below the required 170"),  # default order 120
+        # more strengths whose quadrature floor is above the cap, for every
+        # command: rejected by RunConfig, or per --nu-list value in main
+        (["verify", "--nu", "2", "--basis-size", "100000"], "lower --nu/--v0 or --basis-size"),
+        (["ladder", "--nu", "3000"], "lower --nu/--v0 or --basis-size"),
+        (["ladder", "--nu", "3000", "--quadrature-order", "6070"],
+         "lower --nu/--v0 or --basis-size"),
+        (["spectrum", "--v0", "1e12"], "lower --nu/--v0 or --basis-size"),
+        (["scan-limit", "--nu-list", "1,3000"], "lower --nu-list or --basis-size"),
+        (["wavefunctions", "--nu", "2", "--samples", "0"], "--samples must be >= 1"),
     ],
 )
 def test_main_rejects_out_of_range_input(argv, needle, capsys):
@@ -448,6 +459,47 @@ def test_main_rejects_out_of_range_input(argv, needle, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("ptdeform: error:")
     assert needle in err[0] and captured.out == ""
+
+
+def test_main_reports_arithmetic_errors_in_one_line(monkeypatch, capsys):
+    # finite input whose intermediate values leave double range past the
+    # config's checks
+    def overflow(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", overflow)
+    assert main(["spectrum", "--nu", "2"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ptdeform: error: input out of numerical range")
+    assert captured.out == ""
+
+
+def test_config_bounds_the_strength_by_the_quadrature_cap():
+    # validation only: the one range of nu is quadrature_floor <= MAX_QUADRATURE_ORDER
+    top = (MAX_QUADRATURE_ORDER - 2 * 30 - 10) / 2
+    assert quadrature_floor(ModelParams(nu=top), 30) == MAX_QUADRATURE_ORDER
+    assert RunConfig(nu=top).params().nu == top
+    for kwargs in ({"nu": top + 0.5}, {"nu": 1e16}, {"nu": 1.7e308}, {"v0": 1e12},
+                   {"nu": top, "basis_size": 31}):
+        with pytest.raises(ValueError, match="lower --nu/--v0 or --basis-size"):
+            RunConfig(**kwargs)
+
+
+def test_main_runs_the_legendre_form_at_large_nu(capsys):
+    # the Legendre form keeps its normalization in one log, so it runs past
+    # nu = 146.8, where exp of either half of that log overflows
+    assert main(["wavefunctions", "--nu", "150"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = json.loads(captured.out)["rows"]
+    assert max(abs(row[f"psi{n}_diff"]) for row in rows for n in range(6)) < 1e-9
+    # the verdict is 2 on the absolute bounds picked at nu = 2
+    assert main(["verify", "--nu", "150", "--quadrature-order", "370"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    relations = {r["name"]: r for r in json.loads(captured.out)["relations"]}
+    assert relations["legendre_form_pointwise"]["pass"]
 
 
 def test_config_rejects_units_out_of_range_at_the_top_of_the_tower():

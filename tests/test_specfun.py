@@ -1,10 +1,9 @@
-"""Numerics primitives against independent references: math.lgamma /
-mpmath for log-gamma and Legendre functions, scipy.special and
-numpy.polynomial for Gegenbauer values and Gauss-Legendre rules."""
+"""Numerics primitives against independent references: math.lgamma for
+log-gamma, scipy.special and numpy.polynomial for Gegenbauer values and
+Gauss-Legendre rules."""
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +13,6 @@ from scipy.special import eval_gegenbauer
 
 from ptdeform.specfun import (
     QuadratureRule,
-    assoc_legendre,
     gauss_legendre,
     gegenbauer_row,
     log_gamma,
@@ -85,34 +83,6 @@ def test_gegenbauer_row_validation():
         gegenbauer_row(-1, 1.5, 0.0)
     with pytest.raises(ValueError):
         gegenbauer_row(3, 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# associated Legendre
-
-
-def test_assoc_legendre_matches_mpmath():
-    mpmath.mp.dps = 30
-    for n, nu in [(0, 0.8), (3, 0.8), (1, 1.5), (5, 2.0), (8, 3.7)]:
-        lam, mu = n + nu - 0.5, 0.5 - nu
-        for x in (-0.62, 0.17, 0.9):
-            ref = float(mpmath.legenp(lam, mu, x))
-            assert assoc_legendre(lam, mu, x) == pytest.approx(ref, rel=1e-12, abs=1e-15)
-
-
-def test_assoc_legendre_broadcasts():
-    x = np.array([-0.5, 0.0, 0.5])
-    vals = assoc_legendre(3.0, -1.0, x)  # n = 2 member of the nu = 3/2 family
-    assert vals.shape == (3,)
-
-
-def test_assoc_legendre_domain_errors():
-    with pytest.raises(ValueError):
-        assoc_legendre(2.5, -1.0, 1.0)  # |x| must be < 1
-    with pytest.raises(ValueError):
-        assoc_legendre(2.5, 0.5, 0.3)  # order outside the supported family
-    with pytest.raises(ValueError):
-        assoc_legendre(1.7, -1.2, 0.3)  # lam + mu not an integer
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ gamma-function normalization, tanh-sinh quadrature for the integrals):
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -193,6 +194,27 @@ def test_legendre_route_agrees(nu):
         a = psi_value(ef, points)
         b = psi_value_legendre(p, n, points)
         assert float(np.max(np.abs(a - b))) < 1e-9
+
+
+@pytest.mark.parametrize("k", [1.0, 2.1])
+@pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 12.25, 49.9, 150.0, 300.0])
+def test_legendre_route_matches_mpmath(nu, k):
+    # the Ferrers function of mpmath at 30 digits, on the model's own
+    # doubles; x != 0 because legenp's series does not converge at s = 0
+    p = ModelParams(hbar=1.3, mass=0.7, k=k, nu=nu)
+    xs = np.array([-0.62, 0.17, 0.9]) * (0.5 * math.pi / k)
+    nu_mp, k_mp = mpmath.mpf(nu), mpmath.mpf(k)
+    with mpmath.workdps(30):
+        for n in (0, 3, 10, 25):
+            got = psi_value_legendre(p, n, xs)
+            for x, value in zip(xs, got):
+                kx = k_mp * mpmath.mpf(x)
+                ref = float(
+                    mpmath.sqrt(k_mp * (n + nu_mp) * mpmath.gamma(n + 2 * nu_mp) / mpmath.factorial(n))
+                    * mpmath.sqrt(mpmath.cos(kx))
+                    * mpmath.legenp(n + nu_mp - 0.5, 0.5 - nu_mp, mpmath.sin(kx), type=2)
+                )
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (n, x)
 
 
 def test_legendre_route_validation():

@@ -7,11 +7,12 @@ SRC_DIR is the ``src`` directory of the checkout to run (the one that holds
 residual as ``float.hex``, in the order of the report's relations.  Run it
 on two checkouts and ``diff`` the outputs: an empty diff means every
 residual is bit-identical and every verdict and the relation order are
-unchanged.  A configuration whose run raises prints one ``ERROR`` line.
+unchanged; ``tools/sweep_diff.py`` tabulates a non-empty one.  A
+configuration whose run raises prints one ``ERROR`` line.
 
-The sweep covers N = 30 at 11 strengths, N = 60, 120 and 480 at 3 or 4
-each, the uncorrected f at N = 30, the small and odd basis sizes 8-11, 26
-and 27, and one set of non-unit units.  Every configuration runs at
+The sweep covers N = 30 at 13 strengths up to nu = 300, N = 60, 120 and
+480 at 3 or 4 each, the uncorrected f at N = 30, the small and odd basis
+sizes 8-11, 26 and 27, and one set of non-unit units.  Every configuration runs at
 quadrature order max(2N + 60, ceil(2N + 2 nu + 10)).
 """
 
@@ -27,7 +28,7 @@ UNITS = {"hbar": 1.3, "mass": 0.7, "k": 2.1}
 def configs():
     """(N, nu, flags, RunConfig keyword arguments) of every sweep entry."""
     grid = [(30, nu) for nu in (1.0, 1.294678, 1.5, 1.733328, 1.890277, 2.0, 3.7, 10.0, 25.0,
-                                30.0, 49.9)]
+                                30.0, 49.9, 150.0, 300.0)]
     grid += [(60, nu) for nu in (1.0, 17.3, 49.0)]
     grid += [(120, nu) for nu in (1.0, 3.7, 25.0)]
     grid += [(480, nu) for nu in (1.0, 3.7, 25.0, 49.9)]
