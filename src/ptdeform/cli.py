@@ -125,8 +125,8 @@ TOLERANCES: dict[str, float] = {
 
 def _check_strength(params: ModelParams, basis_size: int, flag: str) -> None:
     """The one range of nu, for every command: a quadrature floor within the cap."""
-    cap = MAX_QUADRATURE_ORDER  # nu first: near nu = 1e308 the floor overflows
-    if params.nu > cap or quadrature_floor(params, basis_size) > cap:
+    cap = MAX_QUADRATURE_ORDER
+    if quadrature_floor(params, basis_size) > cap:
         raise ValueError(
             f"nu = {params.nu:.6g} at N = {basis_size} puts the quadrature floor "
             f"ceil(2N + 2nu + 10) above the maximum {cap}; lower {flag} or --basis-size"

@@ -36,14 +36,7 @@ from .algebra import (
     h_of,
 )
 from .specfun import QuadratureRule
-from .wavefun import (
-    Eigenfunction,
-    basis_table,
-    ladder_table,
-    lowering_apply,
-    psi_value,
-    raising_apply,
-)
+from .wavefun import basis_table, ladder_table
 
 __all__ = [
     "QuadratureOrderError",
@@ -71,7 +64,6 @@ __all__ = [
     "build_su11",
     "su11_residuals",
     "su11_ordering_residual",
-    "adjointness_residual",
     "wavefunction_residuals",
     "build_grid_hamiltonian",
     "grid_spectrum",
@@ -79,8 +71,8 @@ __all__ = [
 
 
 # Trailing rows/columns of the tower that every operator residual leaves
-# out, on top of the margin each product tracks; reports echo it as
-# "trust_margin".
+# out at least: a residual drops the larger of this and the margin its
+# product tracks; reports echo it as "trust_margin".
 TRUST_MARGIN = 4
 
 # The largest quadrature order a run may ask for: building the Legendre
@@ -250,10 +242,11 @@ def _row_blocks(table: np.ndarray, size: int = 32):
     return (slice(i, i + size) for i in range(0, table.shape[0], size))
 
 
-def quadrature_floor(params: ModelParams, n_basis: int) -> int:
+def quadrature_floor(params: ModelParams, n_basis: int) -> int | float:
     """The lowest quadrature order the X/P matrices of the lowest ``n_basis``
-    states accept, ceil(2N + 2 nu + 10)."""
-    return math.ceil(2 * n_basis + 2 * params.nu + 10)
+    states accept, ceil(2N + 2 nu + 10); infinite where 2 nu overflows."""
+    floor = 2 * n_basis + 2 * params.nu + 10
+    return math.ceil(floor) if math.isfinite(floor) else floor
 
 
 def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None:
@@ -531,26 +524,13 @@ def su11_ordering_residual(params: ModelParams, bplus: OperatorMatrix,
     return (bplus @ right - left @ bplus).max_abs(margin)
 
 
-def adjointness_residual(params: ModelParams, efs: list[Eigenfunction],
-                         rule: QuadratureRule) -> float:
-    """max over (m, n) of |<psi_m | b psi_n> - <b+ psi_m | psi_n>| with both
-    sides computed by quadrature from the differential ladder forms."""
-    if not efs:
-        raise ValueError("adjointness_residual needs at least one state")
-    psi = np.array([psi_value(ef, rule.nodes) for ef in efs])
-    lower = np.array([lowering_apply(ef, rule.nodes) for ef in efs])
-    upper = np.array([raising_apply(ef, rule.nodes) for ef in efs])
-    lhs = (psi * rule.weights) @ lower.T
-    rhs = (upper * rule.weights) @ psi.T
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 def wavefunction_residuals(params: ModelParams, n_states: int,
                            rule: QuadratureRule) -> dict[str, float]:
-    """The Gram-matrix defect and `adjointness_residual` of the lowest
-    ``n_states`` levels, read from one `ladder_table` at the nodes of
-    ``rule``; equal to the per-state `gram_matrix` and
-    `adjointness_residual` to the bit."""
+    """Quadrature checks of the lowest ``n_states`` levels, read from one
+    `ladder_table` at the nodes of ``rule``: the Gram defect
+    max |<psi_m|psi_n> - delta_mn|, and the adjointness defect
+    max |<psi_m|b psi_n> - <b+ psi_m|psi_n>| of the differential ladder
+    forms.  Both vanish up to rounding and quadrature error."""
     psi, lower, upper = ladder_table(params, n_states, rule.nodes)
     weighted = psi * rule.weights
     return {

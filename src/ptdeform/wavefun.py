@@ -10,6 +10,8 @@ through its associated Legendre representation, the Ferrers function
 written through its Gegenbauer connection with one log-space constant.
 Derivatives follow from d/dX C_j^(nu) = 2 nu C_{j-1}^(nu+1), so pointwise
 residuals of differential identities probe only floating-point rounding.
+`basis_table` and `ladder_table` evaluate the lowest levels as row tables,
+with the ladder actions b psi_n = alpha_n psi_{n-1}, b+ psi_n = alpha_{n+1} psi_{n+1}.
 """
 
 from __future__ import annotations
@@ -28,13 +30,10 @@ __all__ = [
     "norm_n",
     "build_eigenfunction",
     "psi_value",
-    "psi_deriv_value",
     "basis_table",
     "ladder_table",
     "psi_second_deriv_value",
     "psi_value_legendre",
-    "lowering_apply",
-    "raising_apply",
     "gram_matrix",
     "chebyshev_points",
     "square_well_state",
@@ -43,12 +42,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Eigenfunction:
-    """Level ``n`` bound state, its polynomial factor phi_n given by
-    ``basis_coeffs`` on the Gegenbauer family C_0^(nu) ... C_n^(nu) of the
-    model's own index; the coefficients already carry the norm ``N_n``.
+    """A bound state, its polynomial factor phi_n given by ``basis_coeffs``
+    on the Gegenbauer family C_0^(nu) ... C_n^(nu) of the model's own index;
+    the coefficients already carry the norm ``N_n``.
     """
 
-    n: int
     params: ModelParams
     basis_coeffs: tuple[float, ...]
 
@@ -121,7 +119,7 @@ def build_eigenfunction(params: ModelParams, n: int, method: str = "closed_form"
             basis = scale * _ladder_step_basis(basis, j, nu)
     else:
         raise ValueError(f"unknown construction method {method!r}")
-    return Eigenfunction(n=n, params=params, basis_coeffs=tuple(basis))
+    return Eigenfunction(params=params, basis_coeffs=tuple(basis))
 
 
 def _trig(params: ModelParams, x):
@@ -159,29 +157,20 @@ def psi_value(ef: Eigenfunction, x):
     return _shape(c**ef.params.nu * _phi_at(ef, s), x)
 
 
-def psi_deriv_value(ef: Eigenfunction, x):
-    """First derivative, via the chain rule in X = sin(kx):
-
-    psi' = k cos^(nu-1)(kx) [ (1 - X^2) phi'(X) - nu X phi(X) ].
-    """
-    p = ef.params
-    s, c = _trig(p, x)
-    bracket = (1.0 - s * s) * _phi_at(ef, s, 1) - p.nu * s * _phi_at(ef, s)
-    return _shape(p.k * c ** (p.nu - 1.0) * bracket, x)
-
-
 def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, np.ndarray]:
     """psi_n and psi_n' for n = 0 .. n_basis-1 at the 1-d array ``nodes``,
-    one row per level.
+    one row per level:
 
-    The whole closed-form tower in two recurrence passes, one Gegenbauer
-    row of index nu for the values and one of index nu+1 for the
-    derivatives, each scaled by the vector of N_n: O(n_basis * len(nodes))
-    in place of one recurrence per state.  The arithmetic is the same, in
-    the same order, as `psi_value` and `psi_deriv_value` on the states of
-    `build_eigenfunction`, so the rows equal those entry by entry; the sign
-    of a zero may differ (at x = 0 the levels n = 3 mod 4 give -0.0 here
-    and 0.0 there).
+        psi_n  = cos^nu(kx) phi_n(X),   phi_n = N_n C_n^(nu),   X = sin(kx),
+        psi_n' = k cos^(nu-1)(kx) [ (1 - X^2) phi_n'(X) - nu X phi_n(X) ],
+
+    with N_n from `norm_n` and phi_n' = 2 nu N_n C_{n-1}^(nu+1).  The whole
+    tower in two recurrence passes, one Gegenbauer row of index nu and one
+    of index nu+1, each scaled by the vector of N_n: O(n_basis * len(nodes))
+    in place of one recurrence per state.  The psi rows are the arithmetic
+    of `psi_value` on the states of `build_eigenfunction`, in the same
+    order, so they equal it entry by entry; the sign of a zero may differ
+    (at x = 0 the levels n = 3 mod 4 give -0.0 here and 0.0 there).
 
     The products are taken in place, so no more than three tables are
     alive at once (the two results and one Gegenbauer row).
@@ -209,11 +198,15 @@ def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, n
 def ladder_table(params: ModelParams, n_basis: int,
                  nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """psi_n with the lowering and raising actions on it, for n = 0 ..
-    n_basis-1 at the 1-d array ``nodes``, one row per level.
+    n_basis-1 at the 1-d array ``nodes``, one row per level:
 
-    Row expressions on one `basis_table`, in the operation order of
-    `lowering_apply` and `raising_apply`, so the rows equal those entry by
-    entry; as in `basis_table`, the sign of a zero may differ.
+        lower_n = (1/k) cos(kx) psi_n' + (n + nu) sin(kx) psi_n
+                = alpha_n psi_{n-1}   (zero for n = 0),
+        upper_n = (n + nu + 1)/(n + nu) [ -(1/k) cos(kx) psi_n' + (n + nu) sin(kx) psi_n ]
+                = alpha_{n+1} psi_{n+1},
+
+    the differential forms of b and b+ in position space, as row
+    expressions on one `basis_table`.  The identities hold up to rounding.
     """
     psi, dpsi = basis_table(params, n_basis, nodes)
     s, c = _trig(params, nodes)
@@ -262,37 +255,6 @@ def psi_value_legendre(params: ModelParams, n: int, x):
     )
     cn = gegenbauer_row(n, nu, s)[n]
     val = math.exp(log_const) * np.sqrt(c) * (1.0 - s * s) ** (0.5 * nu - 0.25) * cn
-    return _shape(val, x)
-
-
-def lowering_apply(ef: Eigenfunction, x):
-    """Action of the lowering side of the ladder pair on psi_n,
-
-        (1/k) cos(kx) psi_n' + (n + nu) sin(kx) psi_n,
-
-    which equals alpha_n psi_{n-1} (identically zero for n = 0).
-    """
-    p = ef.params
-    s, _ = _trig(p, x)
-    val = (1.0 / p.k) * np.cos(p.k * np.asarray(x, dtype=float)) * psi_deriv_value(ef, x) + (
-        ef.n + p.nu
-    ) * s * psi_value(ef, x)
-    return _shape(val, x)
-
-
-def raising_apply(ef: Eigenfunction, x):
-    """Action of the raising side of the ladder pair on psi_n,
-
-        (n + nu + 1)/(n + nu) [ -(1/k) cos(kx) psi_n' + (n + nu) sin(kx) psi_n ],
-
-    which equals alpha_{n+1} psi_{n+1}.
-    """
-    p = ef.params
-    s, _ = _trig(p, x)
-    core = -(1.0 / p.k) * np.cos(p.k * np.asarray(x, dtype=float)) * psi_deriv_value(ef, x) + (
-        ef.n + p.nu
-    ) * s * psi_value(ef, x)
-    val = (ef.n + p.nu + 1.0) / (ef.n + p.nu) * core
     return _shape(val, x)
 
 

@@ -173,12 +173,13 @@ def test_uncorrected_f_fails_generic():
 
 def test_verify_reads_no_per_state_values(monkeypatch):
     # the pointwise relations read one ladder_table at the sample points;
-    # the per-state routes stay as the tested reference
+    # psi_value and gram_matrix stay for `wavefunctions` and as the tested
+    # reference of the tables
     def refuse(*args, **kwargs):
         raise AssertionError("per-state evaluation on the verify path")
 
     for module in (wavefun, opmat, cli):
-        for name in ("psi_value", "psi_deriv_value", "lowering_apply"):
+        for name in ("psi_value", "gram_matrix"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     assert run_verification(RunConfig(nu=1.0)).overall_pass
 

@@ -26,7 +26,6 @@ from ptdeform.cli import RunConfig, run_verification
 from ptdeform.opmat import (
     OperatorMatrix,
     QuadratureOrderError,
-    adjointness_residual,
     assemble_b,
     bplus_second_form,
     build_grid_hamiltonian,
@@ -50,7 +49,7 @@ from ptdeform.opmat import (
     wavefunction_residuals,
 )
 from ptdeform.specfun import QuadratureRule, gauss_legendre
-from ptdeform.wavefun import build_eigenfunction, gram_matrix, psi_deriv_value, psi_value
+from ptdeform.wavefun import basis_table, build_eigenfunction, gram_matrix, psi_value
 
 N = 30
 MARGIN = 4
@@ -239,6 +238,16 @@ def test_quadrature_floor_enforced():
         build_X(params, 1, gauss_legendre(80, a, b))
 
 
+@pytest.mark.parametrize("entry_point", [operator_set, quadrature_XP, build_X])
+def test_quadrature_floor_rejects_a_rule_when_two_nu_overflows(entry_point):
+    # 2 nu + 2N + 10 is infinite at nu = 1e308: the floor error, not an
+    # OverflowError from the integer floor
+    params = ModelParams(nu=1e308)
+    assert opmat.quadrature_floor(params, N) == math.inf
+    with pytest.raises(QuadratureOrderError, match="below the required inf"):
+        entry_point(params, N, gauss_legendre(120, *params.box))
+
+
 def test_rule_interval_must_match_box():
     params = ModelParams(nu=2.0)
     with pytest.raises(ValueError):
@@ -248,12 +257,12 @@ def test_rule_interval_must_match_box():
 @pytest.mark.parametrize("nu", [1.0, 3.7])
 @pytest.mark.parametrize("n_basis", [30, 120])
 def test_x_and_p_are_the_per_state_quadrature(n_basis, nu):
-    # reference: one psi_value / psi_deriv_value evaluation per state
+    # reference: psi by one psi_value evaluation per state, psi' from the
+    # basis table (checked against mpmath in test_wavefun)
     params = ModelParams(nu=nu)
     rule = gauss_legendre(2 * n_basis + 60, *params.box)
-    efs = [build_eigenfunction(params, n) for n in range(n_basis)]
-    psi = np.array([psi_value(ef, rule.nodes) for ef in efs])
-    dpsi = np.array([psi_deriv_value(ef, rule.nodes) for ef in efs])
+    psi = np.array([psi_value(build_eigenfunction(params, n), rule.nodes) for n in range(n_basis)])
+    _, dpsi = basis_table(params, n_basis, rule.nodes)
     s = np.sin(params.k * rule.nodes)
     c = np.cos(params.k * rule.nodes)
     hbar, k = params.hbar, params.k
@@ -441,13 +450,14 @@ def test_structure_residuals_match_the_full_width_operators(n_basis, nu, perturb
 @pytest.mark.parametrize("nu", BIT_NUS)
 @pytest.mark.parametrize("n_states", BIT_SIZES)
 def test_wavefunction_residuals_match_the_per_state_route(n_states, nu):
+    # the Gram defect bit for bit; adjointness_quadrature is checked against
+    # its bound in test_ladder_forms_are_adjoint_under_quadrature
     params = ModelParams(nu=nu)
     rule = _rule(params, n_states)
     efs = [build_eigenfunction(params, n) for n in range(n_states)]
-    assert wavefunction_residuals(params, n_states, rule) == {
-        "gram_identity": float(np.max(np.abs(gram_matrix(efs, rule) - np.eye(n_states)))),
-        "adjointness_quadrature": adjointness_residual(params, efs, rule),
-    }
+    got = wavefunction_residuals(params, n_states, rule)
+    assert sorted(got) == ["adjointness_quadrature", "gram_identity"]
+    assert got["gram_identity"] == float(np.max(np.abs(gram_matrix(efs, rule) - np.eye(n_states))))
 
 
 def test_structure_residuals_need_a_trusted_block():
@@ -616,15 +626,15 @@ def test_su11_jplus_reference_entry():
 
 @pytest.mark.parametrize("nu", [1.5, 3.7])
 def test_ladder_forms_are_adjoint_under_quadrature(nu):
+    # the bound of "adjointness_quadrature" in the verify battery
     params, rule, *_ = operators(nu)
-    efs = [build_eigenfunction(params, n) for n in range(21)]
-    assert adjointness_residual(params, efs, rule) < 1e-10
+    assert wavefunction_residuals(params, 21, rule)["adjointness_quadrature"] < 1e-10
 
 
 def test_adjointness_requires_states():
     params, rule, *_ = operators(1.5)
     with pytest.raises(ValueError):
-        adjointness_residual(params, [], rule)
+        wavefunction_residuals(params, 0, rule)
 
 
 # ---------------------------------------------------------------------------

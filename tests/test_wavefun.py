@@ -1,5 +1,5 @@
 """Bound-state wavefunctions: normalization, both closed forms, ladder
-construction and pointwise ladder action.
+construction, the basis and ladder tables, and pointwise ladder action.
 
 Reference values below were computed independently with mpmath at 40
 significant digits (three-term recurrence for the polynomial factor,
@@ -28,14 +28,11 @@ from ptdeform.wavefun import (
     chebyshev_points,
     gram_matrix,
     ladder_table,
-    lowering_apply,
     norm0,
     norm_n,
-    psi_deriv_value,
     psi_second_deriv_value,
     psi_value,
     psi_value_legendre,
-    raising_apply,
     square_well_state,
 )
 
@@ -225,13 +222,13 @@ def test_legendre_route_validation():
 @pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 50.0])
 @pytest.mark.parametrize("n_basis", [1, 2, 30, 120])
 def test_basis_table_is_the_per_state_stack(n_basis, nu):
-    # n_basis = 1 leaves the nu+1 derivative row empty; psi_0' must still match
+    # the psi rows are the arithmetic of psi_value; the psi' rows are checked
+    # against mpmath and against differences of psi below
     p = ModelParams(nu=nu)
     nodes = rule_for(p, n_basis).nodes
-    psi, dpsi = basis_table(p, n_basis, nodes)
-    efs = [build_eigenfunction(p, n) for n in range(n_basis)]
-    assert np.array_equal(psi, np.array([psi_value(ef, nodes) for ef in efs]))
-    assert np.array_equal(dpsi, np.array([psi_deriv_value(ef, nodes) for ef in efs]))
+    psi, _ = basis_table(p, n_basis, nodes)
+    assert np.array_equal(psi, np.array([psi_value(build_eigenfunction(p, n), nodes)
+                                         for n in range(n_basis)]))
 
 
 @pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 49.9])
@@ -239,14 +236,80 @@ def test_basis_table_is_the_per_state_stack(n_basis, nu):
 def test_ladder_table_is_the_per_state_stack(n_basis, nu):
     # the quadrature nodes, and an odd Chebyshev set, which holds x = 0;
     # np.array_equal takes -0.0 == 0.0, and there the table gives -0.0 for
-    # the levels n = 3 mod 4 where psi_value gives 0.0
+    # the levels n = 3 mod 4 where psi_value gives 0.0.  The lowering and
+    # raising rows are checked against the ladder identities below.
     p = ModelParams(nu=nu)
     efs = [build_eigenfunction(p, n) for n in range(n_basis)]
     for nodes in (rule_for(p, n_basis).nodes, chebyshev_points(p, 33)):
-        psi, lower, upper = ladder_table(p, n_basis, nodes)
+        psi, _, _ = ladder_table(p, n_basis, nodes)
         assert np.array_equal(psi, np.array([psi_value(ef, nodes) for ef in efs]))
-        assert np.array_equal(lower, np.array([lowering_apply(ef, nodes) for ef in efs]))
-        assert np.array_equal(upper, np.array([raising_apply(ef, nodes) for ef in efs]))
+
+
+# Relative error allowed of a table entry or a norm at level n: 32 u (n + 2 nu).
+# N_n comes from log-gamma values that grow with n + 2 nu, and exp turns
+# their absolute rounding error into a relative one; the largest measured
+# error is 11.2 u (n + 2 nu), on the norm ratio at nu = 49.9.
+U = 2.0**-52
+
+
+def rel_bound(n, nu):
+    return 32.0 * U * (n + 2.0 * nu)
+
+
+def norm_mp(k, nu, n):
+    """N_n from its Gamma form, in mpmath."""
+    return mpmath.sqrt(
+        k * mpmath.gamma(nu + 1) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu + 0.5))
+        * mpmath.factorial(n) * (n + nu) * mpmath.gamma(2 * nu) / (nu * mpmath.gamma(n + 2 * nu))
+    )
+
+
+@pytest.mark.parametrize("k", [1.0, 2.1])
+@pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 12.25, 49.9, 150.0])
+def test_basis_table_matches_mpmath(nu, k):
+    # psi_n = N_n cos^nu(kx) C_n^(nu)(sin kx) and its derivative by mpmath.diff,
+    # at 30 digits on the model's own doubles; x != 0, where the
+    # hypergeometric series of mpmath.gegenbauer cannot reach a relative
+    # accuracy on the zero of an odd level.  A table of n + 1 levels puts
+    # level n in its last row, and n = 0 leaves the nu+1 row empty.
+    p = ModelParams(hbar=1.3, mass=0.7, k=k, nu=nu)
+    xs = np.array([-0.62, -0.3, 0.17, 0.9]) * (0.5 * math.pi / k)
+    nu_mp, k_mp = mpmath.mpf(nu), mpmath.mpf(k)
+    with mpmath.workdps(30):
+        for n in (0, 3, 10, 25):
+            psi, dpsi = basis_table(p, n + 1, xs)
+            norm = norm_mp(k_mp, nu_mp, n)
+
+            def state(x):
+                kx = k_mp * x
+                return norm * mpmath.cos(kx) ** nu_mp * mpmath.gegenbauer(n, nu_mp, mpmath.sin(kx))
+
+            for x, value, deriv in zip(xs, psi[n], dpsi[n]):
+                x_mp = mpmath.mpf(x)
+                for got, ref in ((value, state(x_mp)), (deriv, mpmath.diff(state, x_mp))):
+                    ref = float(ref)
+                    assert abs(got - ref) <= rel_bound(n, nu) * max(1.0, abs(ref)), (n, x)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.1])
+@pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 49.9, 150.0, 300.0, 2000.0])
+def test_norms_meet_the_algebraic_ratio(nu, k):
+    # Adjointness of the ladder pair in the unnormalized basis cos^nu C_n^(nu)
+    # fixes N_n^2 / N_{n-1}^2 = n (n + nu) / ((n + nu - 1)(n + 2 nu - 1)); N_n
+    # and alpha_n also meet their Gamma and closed forms, all at 30 digits
+    p = ModelParams(k=k, nu=nu)
+    nu_mp, k_mp = mpmath.mpf(nu), mpmath.mpf(k)
+    norms = [norm_n(p, n) for n in range(61)]
+    with mpmath.workdps(30):
+        for n in range(61):
+            ref = norm_mp(k_mp, nu_mp, n)
+            assert abs(norms[n] - ref) <= rel_bound(n, nu) * ref, n
+            if n == 0:
+                continue
+            ratio = n * (n + nu_mp) / ((n + nu_mp - 1) * (n + 2 * nu_mp - 1))
+            assert abs((norms[n] / norms[n - 1]) ** 2 - ratio) <= rel_bound(n, nu) * ratio, n
+            a = mpmath.sqrt(n * (n + nu_mp) * (n + 2 * nu_mp - 1) / (n + nu_mp - 1))
+            assert abs(alpha(p, n) - a) <= 4.0 * U * a, n
 
 
 def test_basis_table_validation():
@@ -259,13 +322,15 @@ def test_basis_table_validation():
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_derivatives_by_richardson(nu):
-    # central differences of psi confirm psi' and psi''
+    # central differences of psi confirm the table's psi' and the per-state psi''
     p = ModelParams(nu=nu)
     ef = build_eigenfunction(p, 6)
     h = 1e-5
-    for x in (-1.1, -0.2, 0.35, 1.3):
+    xs = np.array([-1.1, -0.2, 0.35, 1.3])
+    _, dpsi = basis_table(p, 7, xs)
+    for x, deriv in zip(xs, dpsi[6]):
         d_num = (psi_value(ef, x + h) - psi_value(ef, x - h)) / (2 * h)
-        assert psi_deriv_value(ef, x) == pytest.approx(d_num, rel=1e-7, abs=1e-7)
+        assert deriv == pytest.approx(d_num, rel=1e-7, abs=1e-7)
         d2_num = (psi_value(ef, x + h) - 2 * psi_value(ef, x) + psi_value(ef, x - h)) / h**2
         assert psi_second_deriv_value(ef, x) == pytest.approx(d2_num, rel=1e-5, abs=1e-4)
 
@@ -287,39 +352,41 @@ def test_schrodinger_pointwise(nu):
 
 
 # ---------------------------------------------------------------------------
-# ladder action in position space
+# ladder action in position space, on the rows of one ladder_table
+
+LADDER_NUS = [*NU_SET, 49.9]
 
 
-@pytest.mark.parametrize("nu", NU_SET)
+def ladder_rows(nu):
+    """psi, lower, upper of levels 0 .. 26 at 60 Chebyshev points, and
+    alpha_n as a column."""
+    p = ModelParams(nu=nu)
+    psi, lower, upper = ladder_table(p, 27, chebyshev_points(p, 60))
+    return psi, lower, upper, np.array([alpha(p, n) for n in range(27)])[:, None]
+
+
+def assert_rows_close(got, want):
+    # 1e-12 of the largest entry; measured at most 6.4e-14 of it, at nu = 49.9
+    assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("nu", LADDER_NUS)
 def test_lowering_produces_alpha_times_lower_state(nu):
-    p = ModelParams(nu=nu)
-    points = chebyshev_points(p, 60)
-    for n in range(1, 9):
-        ef = build_eigenfunction(p, n)
-        below = build_eigenfunction(p, n - 1)
-        got = lowering_apply(ef, points)
-        want = alpha(p, n) * psi_value(below, points)
-        assert float(np.max(np.abs(got - want))) < 1e-9
+    psi, lower, _, a = ladder_rows(nu)
+    assert_rows_close(lower[1:26], a[1:26] * psi[:25])
 
 
-@pytest.mark.parametrize("nu", NU_SET)
+@pytest.mark.parametrize("nu", LADDER_NUS)
 def test_raising_produces_alpha_times_upper_state(nu):
-    p = ModelParams(nu=nu)
-    points = chebyshev_points(p, 60)
-    for n in range(0, 8):
-        ef = build_eigenfunction(p, n)
-        above = build_eigenfunction(p, n + 1)
-        got = raising_apply(ef, points)
-        want = alpha(p, n + 1) * psi_value(above, points)
-        assert float(np.max(np.abs(got - want))) < 1e-9
+    psi, _, upper, a = ladder_rows(nu)
+    assert_rows_close(upper[:26], a[1:27] * psi[1:27])
 
 
 def test_ground_state_annihilated():
-    for nu in NU_SET:
-        p = ModelParams(nu=nu)
-        points = chebyshev_points(p, 100)
-        ef = build_eigenfunction(p, 0)
-        assert float(np.max(np.abs(lowering_apply(ef, points)))) < 1e-10
+    # the two terms of the n = 0 row are each about nu |psi_0|
+    for nu in LADDER_NUS:
+        psi, lower, _, _ = ladder_rows(nu)
+        assert float(np.max(np.abs(lower[0]))) <= 1e-14 * nu * float(np.max(np.abs(psi[0])))
 
 
 # ---------------------------------------------------------------------------
