@@ -23,7 +23,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -123,6 +123,20 @@ TOLERANCES: dict[str, float] = {
 }
 
 
+# The memory a command may plan for, checked before anything is allocated.
+# A number that a table command keeps costs about 300 bytes (a Python float,
+# its list slot, its JSON text and key; tracemalloc measures 270-290), and a
+# grid point about 200 (the grid vectors and the LAPACK workspace; 174).
+MEMORY_BUDGET_BYTES = 2**30
+
+
+def _check_memory(flags: str, numbers: int, bytes_each: int) -> None:
+    need = numbers * bytes_each
+    if need > MEMORY_BUDGET_BYTES:
+        raise ValueError(f"{flags} would need about {need // 2**20} MB, above the budget of "
+                         f"{MEMORY_BUDGET_BYTES // 2**20} MB")
+
+
 def _check_strength(params: ModelParams, basis_size: int, flag: str) -> None:
     """The one range of nu, for every command: a quadrature floor within the cap."""
     cap = MAX_QUADRATURE_ORDER
@@ -131,6 +145,37 @@ def _check_strength(params: ModelParams, basis_size: int, flag: str) -> None:
             f"nu = {params.nu:.6g} at N = {basis_size} puts the quadrature floor "
             f"ceil(2N + 2nu + 10) above the maximum {cap}; lower {flag} or --basis-size"
         )
+
+
+def _check_units(params: ModelParams, basis_size: int) -> None:
+    """b and the Casimir relations take sqrt(eps H) and eps^2; both stay in
+    double range when eps E_n = eps^2 (n + nu)^2 does for every level."""
+    eps, top = params.epsilon, basis_size - 1
+    try:
+        low, high = (eps * energy(params, n) for n in (0, top))
+    except OverflowError:
+        low = high = math.inf
+    if not (low > 0.0 and math.isfinite(high)):
+        raise ValueError(
+            f"--hbar, --mass and --k put eps * E_n out of numerical range at "
+            f"nu = {params.nu:.6g} (eps = {eps:.3g}, eps * E_0 = {low:.3g}, "
+            f"eps * E_{top} = {high:.3g})"
+        )
+
+
+def _check_nu_list(nu_values: list[float], basis_size: int, order: int) -> None:
+    """Each scan-limit strength in the range of nu, and the quadrature order at
+    or above the largest floor among them."""
+    for nu in nu_values:
+        _check_strength(ModelParams(nu=nu), basis_size, "--nu-list")
+    needed = max(quadrature_floor(ModelParams(nu=nu), basis_size) for nu in nu_values)
+    if order < needed:
+        raise ValueError(f"quadrature order {order} is below the minimum {needed} that "
+                         f"--nu-list needs at N = {basis_size}")
+
+
+def _effective_order(quadrature_order: int | None, basis_size: int) -> int:
+    return quadrature_order if quadrature_order is not None else 2 * basis_size + 60
 
 
 @dataclass(frozen=True)
@@ -161,25 +206,14 @@ class RunConfig:
             raise ValueError(f"basis size must be >= 8, got {self.basis_size}")
         if self.grid_points < 200:
             raise ValueError(f"grid points must be >= 200, got {self.grid_points}")
+        _check_memory("--grid-points", self.grid_points, 200)
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         if not 0.0 < self.tolerance_scale < math.inf:
             raise ValueError("--tolerance-scale must be positive and finite")
         params = self.params()  # validates nu / v0 ranges
         _check_strength(params, self.basis_size, "--nu/--v0")
-        # b and the Casimir relations take sqrt(eps H) and eps^2; both stay in
-        # double range when eps E_n = eps^2 (n + nu)^2 does for every level
-        eps, top = params.epsilon, self.basis_size - 1
-        try:
-            low, high = (eps * energy(params, n) for n in (0, top))
-        except OverflowError:
-            low = high = math.inf
-        if not (low > 0.0 and math.isfinite(high)):
-            raise ValueError(
-                f"--hbar, --mass and --k put eps * E_n out of numerical range at "
-                f"nu = {params.nu:.6g} (eps = {eps:.3g}, eps * E_0 = {low:.3g}, "
-                f"eps * E_{top} = {high:.3g})"
-            )
+        _check_units(params, self.basis_size)
         if self.quadrature_order is not None:
             needed = quadrature_floor(params, self.basis_size)
             if self.quadrature_order < needed:
@@ -201,7 +235,7 @@ class RunConfig:
 
     @property
     def effective_quadrature_order(self) -> int:
-        return self.quadrature_order if self.quadrature_order is not None else 2 * self.basis_size + 60
+        return _effective_order(self.quadrature_order, self.basis_size)
 
     def quadrature(self, params: ModelParams):
         a, b = params.box
@@ -691,14 +725,25 @@ def main(argv: list[str] | None = None) -> int:
                 nu_values = [float(s) for s in str(args.nu_list).split(",") if s.strip()]
                 if not nu_values or not all(1.0 <= nu < math.inf for nu in nu_values):
                     raise ValueError("--nu-list needs comma-separated finite values, each >= 1")
-                for nu in nu_values:
-                    _check_strength(ModelParams(nu=nu), args.basis_size, "--nu-list")
+                _check_nu_list(nu_values, args.basis_size,
+                               _effective_order(args.quadrature_order, args.basis_size))
             n_max = getattr(args, "n_max", 0)
             if n_max < 0:
                 raise ValueError(f"--n-max must be >= 0, got {n_max}")
-            if getattr(args, "samples", 1) < 1:
-                raise ValueError(f"--samples must be >= 1, got {args.samples}")
+            samples = getattr(args, "samples", 1)
+            if samples < 1:
+                raise ValueError(f"--samples must be >= 1, got {samples}")
+            # the cells of each table, and the coefficient tuples of wavefunctions
+            if args.subcommand == "wavefunctions":
+                kept = samples * (3 * n_max + 4) + (n_max + 1) * (n_max + 2) // 2
+                _check_memory("--n-max and --samples", kept, 300)
+            elif args.subcommand in ("spectrum", "ladder"):
+                columns = 4 if args.subcommand == "spectrum" else 6
+                _check_memory("--n-max", (n_max + 1) * columns, 300)
             config = _config_from_args(args)
+            if args.subcommand == "scan-limit":
+                for nu in nu_values:
+                    _check_units(replace(config.params(), nu=nu), config.basis_size)
 
             if args.subcommand == "verify":
                 report = run_verification(config)
@@ -708,7 +753,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.subcommand == "spectrum":
                 payload = cmd_spectrum(config, n_max)
             elif args.subcommand == "wavefunctions":
-                payload = cmd_wavefunctions(config, n_max, args.samples)
+                payload = cmd_wavefunctions(config, n_max, samples)
             elif args.subcommand == "ladder":
                 payload = cmd_ladder(config, n_max)
             else:

@@ -1,21 +1,19 @@
 """Special-function and quadrature primitives.
 
 Everything in this module is pure numerics with no model parameters:
-log-gamma, Gegenbauer polynomial values by three-term recurrence, and
-Gauss-Legendre rules with Newton-refined nodes.
+Gegenbauer polynomial values by three-term recurrence, and Gauss-Legendre
+rules with Newton-refined nodes.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "QuadratureRule",
-    "log_gamma",
     "gegenbauer_row",
     "gauss_legendre",
 ]
@@ -41,39 +39,6 @@ class QuadratureRule:
     @property
     def order(self) -> int:
         return self.nodes.size
-
-
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative accuracy is
-# a few ulp throughout the right half-plane, far below the 1e-13 budget
-# of the normalization constants built from it.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-06,
-    1.5056327351493116e-07,
-)
-
-
-def log_gamma(z: float) -> float:
-    """Natural log of the gamma function for real ``z > 0``."""
-    z = float(z)
-    if z <= 0.0:
-        raise ValueError(f"log_gamma requires z > 0, got {z}")
-    if z < 0.5:
-        # reflection keeps the Lanczos series on its well-conditioned range
-        return math.log(math.pi / math.sin(math.pi * z)) - log_gamma(1.0 - z)
-    z -= 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(series)
 
 
 def gegenbauer_row(n_max: int, nu: float, x):

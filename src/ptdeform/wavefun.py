@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ModelParams, alpha
-from .specfun import QuadratureRule, gegenbauer_row, log_gamma
+from .specfun import QuadratureRule, gegenbauer_row
 
 __all__ = [
     "Eigenfunction",
     "norm0",
+    "norm_tower",
     "norm_n",
     "build_eigenfunction",
     "psi_value",
@@ -54,28 +55,29 @@ class Eigenfunction:
 def norm0(params: ModelParams) -> float:
     """Ground-state normalization N_0 = sqrt(k Gamma(nu+1) / (sqrt(pi) Gamma(nu+1/2)))."""
     nu = params.nu
-    log_sq = math.log(params.k) + log_gamma(nu + 1.0) - 0.5 * math.log(math.pi) - log_gamma(nu + 0.5)
+    log_sq = (math.log(params.k) + math.lgamma(nu + 1.0) - 0.5 * math.log(math.pi)
+              - math.lgamma(nu + 0.5))
     return math.exp(0.5 * log_sq)
 
 
+def norm_tower(params: ModelParams, n_basis: int) -> np.ndarray:
+    """N_0 ... N_{n_basis-1}: N_0 from its Gamma form, then the ratio
+    N_n^2 / N_{n-1}^2 = n (n + nu) / ((n + nu - 1)(n + 2 nu - 1)) that
+    adjointness of the ladder pair fixes, multiplied out in order from N_0.
+    Each step rounds a few ulp; the Gamma form of N_n is the tests' reference."""
+    if n_basis < 1:
+        raise ValueError(f"basis size must be >= 1, got {n_basis}")
+    nu = params.nu
+    n = np.arange(1.0, n_basis)
+    steps = np.sqrt(n * (n + nu) / ((n + nu - 1.0) * (n + 2.0 * nu - 1.0)))
+    return np.cumprod(np.concatenate(([norm0(params)], steps)))
+
+
 def norm_n(params: ModelParams, n: int) -> float:
-    """Normalization of the level-n polynomial factor,
-
-        N_n = N_0 sqrt( n! (n + nu) Gamma(2 nu) / (nu Gamma(n + 2 nu)) ),
-
-    evaluated in log space so large n and nu do not overflow.
-    """
+    """N_n, entry n of `norm_tower`."""
     if n < 0:
         raise ValueError(f"level index must be >= 0, got {n}")
-    nu = params.nu
-    log_sq = (
-        log_gamma(n + 1.0)
-        + math.log(n + nu)
-        + log_gamma(2.0 * nu)
-        - math.log(nu)
-        - log_gamma(n + 2.0 * nu)
-    )
-    return norm0(params) * math.exp(0.5 * log_sq)
+    return float(norm_tower(params, n + 1)[n])
 
 
 def _ladder_step_basis(d: np.ndarray, j: int, nu: float) -> np.ndarray:
@@ -164,7 +166,7 @@ def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, n
         psi_n  = cos^nu(kx) phi_n(X),   phi_n = N_n C_n^(nu),   X = sin(kx),
         psi_n' = k cos^(nu-1)(kx) [ (1 - X^2) phi_n'(X) - nu X phi_n(X) ],
 
-    with N_n from `norm_n` and phi_n' = 2 nu N_n C_{n-1}^(nu+1).  The whole
+    with N_n from `norm_tower` and phi_n' = 2 nu N_n C_{n-1}^(nu+1).  The whole
     tower in two recurrence passes, one Gegenbauer row of index nu and one
     of index nu+1, each scaled by the vector of N_n: O(n_basis * len(nodes))
     in place of one recurrence per state.  The psi rows are the arithmetic
@@ -179,7 +181,7 @@ def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, n
         raise ValueError(f"basis size must be >= 1, got {n_basis}")
     nu = params.nu
     s, c = _trig(params, nodes)
-    norms = np.array([norm_n(params, n) for n in range(n_basis)])
+    norms = norm_tower(params, n_basis)
     phi = gegenbauer_row(n_basis - 1, nu, s)
     phi *= norms[:, None]
     dphi = np.zeros_like(phi)
@@ -248,9 +250,10 @@ def psi_value_legendre(params: ModelParams, n: int, x):
     nu = params.nu
     s, c = _trig(params, x)
     log_const = (
-        0.5 * (math.log(params.k) + math.log(n + nu) + log_gamma(n + 1.0) - log_gamma(n + 2.0 * nu))
-        + log_gamma(2.0 * nu)
-        - log_gamma(nu + 0.5)
+        0.5 * (math.log(params.k) + math.log(n + nu)
+               + math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * nu))
+        + math.lgamma(2.0 * nu)
+        - math.lgamma(nu + 0.5)
         - (nu - 0.5) * math.log(2.0)
     )
     cn = gegenbauer_row(n, nu, s)[n]

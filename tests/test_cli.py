@@ -20,6 +20,7 @@ import ptdeform
 from ptdeform import cli, opmat, wavefun
 from ptdeform.algebra import ModelParams
 from ptdeform.cli import (
+    MEMORY_BUDGET_BYTES,
     SCHEMA_VERSION,
     TOLERANCES,
     RunConfig,
@@ -169,6 +170,19 @@ def test_uncorrected_f_fails_generic():
     failed = [r for r in report.relations if not r.passed]
     assert [r.name for r in failed] == ["corrected_f_commutator"]
     assert failed[0].residual == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("nu", [1.0, 3.7, 25.0, 49.9])
+def test_the_paper_relations_hold_at_n480(nu):
+    # [b, b+] + f(H), the two Casimir forms and J+ J- sum products of the
+    # norms over the tower; with N_n a few ulp per level from the algebraic
+    # ratio they read about 3e-9 against 1e-8 at N = 480
+    n = 480
+    order = max(2 * n + 60, math.ceil(2 * n + 2 * nu + 10))
+    report = run_verification(RunConfig(nu=nu, basis_size=n, quadrature_order=order))
+    relations = {r.name: r for r in report.relations}
+    for name in ("corrected_f_commutator", "casimir_forms_agree", "su11_jplus_jminus"):
+        assert relations[name].passed, (name, relations[name].residual)
 
 
 def test_verify_reads_no_per_state_values(monkeypatch):
@@ -451,6 +465,23 @@ def test_main_rejects_non_finite_input(argv, flag, capsys):
         (["spectrum", "--v0", "1e12"], "lower --nu/--v0 or --basis-size"),
         (["scan-limit", "--nu-list", "1,3000"], "lower --nu-list or --basis-size"),
         (["wavefunctions", "--nu", "2", "--samples", "0"], "--samples must be >= 1"),
+        # every --nu-list value against its floor and the unit range, not only
+        # the nu = 1 anchor of the config: the largest floor is named
+        (["scan-limit", "--nu-list", "1,3", "--quadrature-order", "70"],
+         "below the minimum 76 that --nu-list needs"),
+        (["scan-limit", "--nu-list", "1,3", "--quadrature-order", "72"],
+         "below the minimum 76 that --nu-list needs"),
+        (["scan-limit", "--nu-list", "1,50"], "below the minimum 170 that --nu-list needs"),
+        (["scan-limit", "--hbar", "1e76", "--nu-list", "1,2000", "--quadrature-order", "4070"],
+         "--hbar, --mass and --k"),
+        # sizes whose tables or grid pass the memory budget, rejected before
+        # anything is allocated
+        (["wavefunctions", "--nu", "2", "--samples", "1000000000"], "--n-max and --samples"),
+        (["wavefunctions", "--nu", "2", "--n-max", "100000", "--samples", "1"],
+         "--n-max and --samples"),
+        (["ladder", "--nu", "2", "--n-max", "1000000000"], "--n-max would need"),
+        (["spectrum", "--nu", "2", "--n-max", "1000000000"], "--n-max would need"),
+        (["verify", "--nu", "2", "--grid-points", "1000000000"], "--grid-points would need"),
     ],
 )
 def test_main_rejects_out_of_range_input(argv, needle, capsys):
@@ -487,6 +518,18 @@ def test_config_bounds_the_strength_by_the_quadrature_cap():
             RunConfig(**kwargs)
 
 
+def test_memory_budget_bounds_the_sizes():
+    # validation only: the largest sizes the budget admits construct or
+    # validate, one more is rejected; nothing is run at either size
+    top = MEMORY_BUDGET_BYTES // 200
+    assert RunConfig(nu=2.0, grid_points=top).grid_points == top
+    with pytest.raises(ValueError, match="--grid-points would need"):
+        RunConfig(nu=2.0, grid_points=top + 1)
+    cli._check_memory("--n-max", MEMORY_BUDGET_BYTES // 300, 300)
+    with pytest.raises(ValueError, match="--n-max would need"):
+        cli._check_memory("--n-max", MEMORY_BUDGET_BYTES // 300 + 1, 300)
+
+
 def test_main_runs_the_legendre_form_at_large_nu(capsys):
     # the Legendre form keeps its normalization in one log, so it runs past
     # nu = 146.8, where exp of either half of that log overflows
@@ -495,8 +538,8 @@ def test_main_runs_the_legendre_form_at_large_nu(capsys):
     assert captured.err == ""
     rows = json.loads(captured.out)["rows"]
     assert max(abs(row[f"psi{n}_diff"]) for row in rows for n in range(6)) < 1e-9
-    # the verdict is 2 on the absolute bounds picked at nu = 2
-    assert main(["verify", "--nu", "150", "--quadrature-order", "370"]) == 2
+    # every relation passes at nu = 150, the absolute bounds picked at nu = 2 too
+    assert main(["verify", "--nu", "150", "--quadrature-order", "370"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     relations = {r["name"]: r for r in json.loads(captured.out)["relations"]}

@@ -1,6 +1,5 @@
-"""Numerics primitives against independent references: math.lgamma for
-log-gamma, scipy.special and numpy.polynomial for Gegenbauer values and
-Gauss-Legendre rules."""
+"""Numerics primitives against independent references: scipy.special and
+numpy.polynomial for Gegenbauer values and Gauss-Legendre rules."""
 
 import math
 
@@ -15,7 +14,6 @@ from ptdeform.specfun import (
     QuadratureRule,
     gauss_legendre,
     gegenbauer_row,
-    log_gamma,
     _legendre_rule,
 )
 
@@ -31,29 +29,6 @@ def test_quadrature_rule_validates_shapes():
         QuadratureRule(np.zeros(3), np.zeros(4), (0.0, 1.0))
     with pytest.raises(ValueError):
         QuadratureRule(np.zeros((2, 2)), np.zeros((2, 2)), (0.0, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# log_gamma
-
-
-@given(st.floats(min_value=1e-3, max_value=170.0))
-@settings(max_examples=200)
-def test_log_gamma_matches_lgamma(z):
-    assert log_gamma(z) == pytest.approx(math.lgamma(z), rel=1e-13, abs=1e-13)
-
-
-def test_log_gamma_reflection_region():
-    # z < 1/2 exercises the reflection formula explicitly.
-    for z in (0.01, 0.125, 0.3, 0.49):
-        assert log_gamma(z) == pytest.approx(math.lgamma(z), rel=1e-12)
-
-
-def test_log_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@
 BEFORE and AFTER are sweep outputs of two checkouts, parent first.  For
 each relation with any difference, one row gives the lines whose residual
 moved, the smallest and largest after/before ratio among them, the largest
-moved residual after, the verdicts that flipped, and the configurations
-that went from ERROR to a result or back.  Ratios and flips count only
-configurations both checkouts ran.  A last line totals the lines compared.
+moved residual after, the verdicts that went from pass to fail and from
+fail to pass, and the configurations that went from ERROR to a result or
+back.  Ratios and flips count only configurations both checkouts ran.  A
+last line totals the lines compared, moved and flipped each way; under it
+each flip is listed as ``N nu flags relation: before -> after``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 
-COLUMNS = ("relation", "moved", "ratio_min", "ratio_max", "max_after", "flips",
+COLUMNS = ("relation", "moved", "ratio_min", "ratio_max", "max_after", "to_fail", "to_pass",
            "error_to_result", "result_to_error")
 
 
@@ -39,12 +41,14 @@ def _ratio(after: float, before: float) -> float:
     return after / before
 
 
-def compare(before: dict, after: dict) -> tuple[dict[str, dict], int]:
-    """Per-relation counts as in COLUMNS, and the number of lines compared."""
+def compare(before: dict, after: dict) -> tuple[dict[str, dict], int, list[tuple]]:
+    """Per-relation counts as in COLUMNS, the number of lines compared, and
+    every flipped verdict as (N, nu, flags, relation, before, after)."""
     rows: dict[str, dict] = defaultdict(lambda: {"moved": 0, "ratios": [], "max_after": 0.0,
-                                                 "flips": 0, "error_to_result": 0,
+                                                 "to_fail": 0, "to_pass": 0, "error_to_result": 0,
                                                  "result_to_error": 0})
     compared = 0
+    flips = []
     for config in [c for c in before if c in after]:  # in sweep order
         old, new = before[config], after[config]
         if old is None and new is not None:
@@ -63,24 +67,32 @@ def compare(before: dict, after: dict) -> tuple[dict[str, dict], int]:
                     row["ratios"].append(_ratio(r1, r0))
                     row["max_after"] = max(row["max_after"], r1)
                 if v0 != v1:
-                    row["flips"] += 1
-    return rows, compared
+                    row["to_pass" if v1 == "True" else "to_fail"] += 1
+                    flips.append((*config, name, v0, v1))
+    return rows, compared, flips
 
 
-def format_table(rows: dict[str, dict], compared: int, before: dict, after: dict) -> str:
-    widths = (28, 6, 10, 10, 10, 6, 16, 16)
+def format_table(rows: dict[str, dict], compared: int, flips: list[tuple], before: dict,
+                 after: dict) -> str:
+    widths = (28, 6, 10, 10, 10, 8, 8, 16, 16)
     lines = [" ".join(f"{c:<{w}}" for c, w in zip(COLUMNS, widths)).rstrip()]
     for name, row in rows.items():
-        if not (row["moved"] or row["flips"] or row["error_to_result"] or row["result_to_error"]):
+        if not (row["moved"] or row["to_fail"] or row["to_pass"] or row["error_to_result"]
+                or row["result_to_error"]):
             continue
         ratios = row["ratios"]
         lo, hi = (f"{min(ratios):.3g}", f"{max(ratios):.3g}") if ratios else ("-", "-")
-        cells = (name, row["moved"], lo, hi, f"{row['max_after']:.3g}", row["flips"],
-                 row["error_to_result"], row["result_to_error"])
+        cells = (name, row["moved"], lo, hi, f"{row['max_after']:.3g}", row["to_fail"],
+                 row["to_pass"], row["error_to_result"], row["result_to_error"])
         lines.append(" ".join(f"{c!s:<{w}}" for c, w in zip(cells, widths)).rstrip())
     moved = sum(row["moved"] for row in rows.values())
-    flips = sum(row["flips"] for row in rows.values())
-    lines.append(f"# {compared} lines compared, {moved} moved, {flips} flipped")
+    to_fail = sum(row["to_fail"] for row in rows.values())
+    to_pass = sum(row["to_pass"] for row in rows.values())
+    lines.append(f"# {compared} lines compared, {moved} moved, {to_fail} pass -> fail, "
+                 f"{to_pass} fail -> pass")
+    verdict = {"True": "pass", "False": "fail"}
+    lines += [f"# {n} {nu} {flags} {name}: {verdict[v0]} -> {verdict[v1]}"
+              for n, nu, flags, name, v0, v1 in flips]
     for label, configs in (
         ("ERROR -> result", [c for c in before if c in after and before[c] is None
                              and after[c] is not None]),
@@ -99,8 +111,8 @@ def main(argv: list[str]) -> int:
         print("usage: python3 tools/sweep_diff.py BEFORE AFTER", file=sys.stderr)
         return 1
     before, after = read_sweep(argv[1]), read_sweep(argv[2])
-    rows, compared = compare(before, after)
-    sys.stdout.write(format_table(rows, compared, before, after))
+    rows, compared, flips = compare(before, after)
+    sys.stdout.write(format_table(rows, compared, flips, before, after))
     return 0
 
 
