@@ -66,9 +66,8 @@ from .wavefun import (
     build_eigenfunction,
     chebyshev_points,
     ladder_table,
+    psi_form_tables,
     psi_second_deriv_value,
-    psi_value,
-    psi_value_legendre,
     square_well_state,
 )
 
@@ -362,11 +361,12 @@ def run_verification(config: RunConfig) -> VerificationReport:
 
     # --- operator layer ---------------------------------------------------
     # The algebra runs on the tridiagonal band of X, P and b; the structure
-    # relations read the dense quadrature X and P, so content off the band
-    # still shows.
-    x_op, p_op, h_op, b_op, bplus_op, x_dense, p_dense = operator_set(params, n_basis, rule)
+    # relations read the three-term defects of X and P beside the band, so
+    # content off the band still shows.
+    ops = operator_set(params, n_basis, rule)
+    x_op, p_op, h_op, b_op, bplus_op = ops[:5]
     one = identity(n_basis)
-    structure = structure_residuals(params, x_dense, p_dense, margin)
+    structure = structure_residuals(params, ops, margin)
     checks.extend((name, structure.pop(name))
                   for name in ("x_hermitian", "x_structure", "p_hermitian"))
 
@@ -396,7 +396,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
     checks.append(("casimir_forms_agree", (c1 - c2).max_abs(margin)))
     checks.append(("casimir_hermitian", c1.hermiticity_residual(margin)))
 
-    checks.extend(extended_algebra_residuals(params, b_op, bplus_op, h_op, margin).items())
+    checks.extend(extended_algebra_residuals(params, c1, b_op, bplus_op, h_op, margin).items())
 
     j0_op, jp_op, jm_op = build_su11(params, b_op, bplus_op, h_op)
     checks.extend(su11_residuals(params, j0_op, jp_op, jm_op, margin).items())
@@ -420,11 +420,8 @@ def run_verification(config: RunConfig) -> VerificationReport:
     points = chebyshev_points(params, 100)
     psi, lower, _ = ladder_table(params, 11, points)
     checks.append(("ground_state_annihilation", float(np.max(np.abs(lower[0])))))
-    leg_resid = max(
-        float(np.max(np.abs(psi[n] - psi_value_legendre(params, n, points))))
-        for n in range(11)
-    )
-    checks.append(("legendre_form_pointwise", leg_resid))
+    leg = psi_form_tables(params, 11, points)[1]
+    checks.append(("legendre_form_pointwise", float(np.max(np.abs(psi - leg)))))
 
     schro = 0.0
     for n in range(11):
@@ -490,20 +487,13 @@ def cmd_spectrum(config: RunConfig, n_max: int) -> dict:
 def cmd_wavefunctions(config: RunConfig, n_max: int, samples: int) -> dict:
     params = config.params()
     points = chebyshev_points(params, samples)
-    efs = [build_eigenfunction(params, n) for n in range(n_max + 1)]
+    geg, leg = psi_form_tables(params, n_max + 1, points)
     columns = ["x"]
     for n in range(n_max + 1):
         columns += [f"psi{n}_gegenbauer", f"psi{n}_legendre", f"psi{n}_diff"]
-    rows = []
-    # state by state, not from a `ladder_table`: the table's rows give -0.0
-    # where psi_value gives 0.0 (x = 0, n = 3 mod 4), and the cells print it
-    geg = [psi_value(ef, points) for ef in efs]
-    leg = [psi_value_legendre(params, n, points) for n in range(n_max + 1)]
-    for i, x in enumerate(points):
-        row = [float(x)]
-        for n in range(n_max + 1):
-            row += [float(geg[n][i]), float(leg[n][i]), float(geg[n][i] - leg[n][i])]
-        rows.append(row)
+    # per sample: psi_n in both forms and their difference, level by level
+    cells = np.stack([geg, leg, geg - leg], axis=1).reshape(3 * (n_max + 1), samples).T
+    rows = [[float(x), *row] for x, row in zip(points, cells.tolist())]
     return _table_payload("wavefunctions", config, params, columns=columns, rows=rows)
 
 
@@ -733,13 +723,18 @@ def main(argv: list[str] | None = None) -> int:
             samples = getattr(args, "samples", 1)
             if samples < 1:
                 raise ValueError(f"--samples must be >= 1, got {samples}")
-            # the cells of each table, and the coefficient tuples of wavefunctions
+            # the cells of each table; for wavefunctions also a term quadratic
+            # in --n-max, which caps it near 2600 at one sample, although the
+            # command keeps O(n_max * samples) numbers
             if args.subcommand == "wavefunctions":
                 kept = samples * (3 * n_max + 4) + (n_max + 1) * (n_max + 2) // 2
                 _check_memory("--n-max and --samples", kept, 300)
             elif args.subcommand in ("spectrum", "ladder"):
                 columns = 4 if args.subcommand == "spectrum" else 6
                 _check_memory("--n-max", (n_max + 1) * columns, 300)
+            if args.subcommand == "spectrum" and n_max >= args.grid_points:
+                raise ValueError(f"--n-max {n_max} asks for {n_max + 1} levels, more than the "
+                                 f"{args.grid_points} points of --grid-points")
             config = _config_from_args(args)
             if args.subcommand == "scan-limit":
                 for nu in nu_values:

@@ -6,12 +6,15 @@ by Gauss-Legendre quadrature against the exact eigenfunctions; H and all
 functions of H are diagonal.  Every operator of the algebra is banded:
 X, P and b couple |n> only to |n +- 1>.  `OperatorMatrix` therefore stores
 an operator as its diagonals out to its ``bandwidth``, so a product costs
-O(N w1 w2) and a sum or a norm O(N w).  `quadrature_XP` returns the full
-N x N quadrature arrays of X and P from one basis table; `operator_set`,
-the one builder of the X/P/H/b/b+ set, keeps their tridiagonal band and
-the dense arrays beside it.  The structure checks of
-`structure_residuals` read the dense arrays, so whatever quadrature puts
-off the band is measured before it is dropped.
+O(N w1 w2) and a sum or a norm O(N w).  `quadrature_XP` forms only the
+tridiagonal band of X and P, each entry one sum over the nodes, and for
+each column n the three-term defect ||T psi_n - sum_{|m-n|<=1} T_mn psi_m||
+over the nodes, which vanishes exactly when the quadrature T is
+tridiagonal; after the basis table everything is O(N Q), and no N x N
+array is formed.  `operator_set`, the one builder of the X/P/H/b/b+ set,
+keeps the defects beside the bands, and the structure checks of
+`structure_residuals` read them, so whatever quadrature puts off the band
+is still measured.
 
 Because the basis is truncated at ``basis_size``, entries near the edge
 of a product matrix are contaminated by the missing tail of the sum.
@@ -237,9 +240,9 @@ def energy_diag(params: ModelParams, n_basis: int, fn) -> OperatorMatrix:
     return diag_operator([fn(params, energy(params, n)) for n in range(n_basis)], n_basis)
 
 
-def _row_blocks(table: np.ndarray, size: int = 32):
-    """Slices of ``size`` rows that cover ``table``."""
-    return (slice(i, i + size) for i in range(0, table.shape[0], size))
+def _row_blocks(count: int, size: int = 32):
+    """(lo, hi) bounds of the blocks of ``size`` rows that cover ``count`` rows."""
+    return ((lo, min(lo + size, count)) for lo in range(0, count, size))
 
 
 def quadrature_floor(params: ModelParams, n_basis: int) -> int | float:
@@ -263,59 +266,90 @@ def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None
         raise ValueError(f"quadrature interval {rule.interval} does not match the box ({a}, {b})")
 
 
-def quadrature_XP(params: ModelParams, n_basis: int,
-                  rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """The N x N quadrature matrices of X = sin(kx) and of the deformed
-    momentum P = k [cos(kx) p + (i hbar k / 2) sin(kx)], every entry kept,
-    from one basis table at the nodes of ``rule``.
+def _tridiagonal_part(psi: np.ndarray, weights: np.ndarray,
+                     image: np.ndarray) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """The tridiagonal band of the real operator T whose images T psi_n are
+    the rows of ``image``, T_mn = sum_q w_q psi_m T psi_n, and the three-term
+    defect of each column n <= N-2,
 
-    X is real and symmetric, tridiagonal with zero diagonal up to
-    quadrature error.  P applies p = -i hbar d/dx literally to the exact
-    closed-form derivative of each state, so quadrature is the only error
-    source.  Raises `QuadratureOrderError` if P fails Hermiticity at 1e-8
-    relative to its scale hbar k^2, which signals an inadequate rule.
+        ||T psi_n - sum_{|m-n| <= 1} T_mn psi_m||_Q,   ||f||_Q^2 = sum_q w_q f_q^2.
 
-    The complex table of P psi is filled a block of rows at a time, psi'
-    is dropped once it is used, and psi is weighted in place after X is
-    formed, so at most two complex and one real table are alive at once.
+    T_{n,n+1} and T_{n+1,n} are separate sums, so their difference measures
+    Hermiticity.  The defect vanishes exactly when T psi_n lies in the span
+    of psi_{n-1}, psi_n, psi_{n+1}; column N-1 has none, as psi_N is not in
+    the table.  One pass of row blocks, O(N Q), with block-sized temporaries.
+    """
+    n = psi.shape[0]
+    diag, upper, lower = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    defect = np.empty(n - 1)
+    for lo, hi in _row_blocks(n):
+        top = min(hi, n - 1)  # the rows that couple to a next row
+        wpsi = psi[lo:top + 1] * weights
+        diag[lo:hi] = np.einsum("ij,ij->i", wpsi[:hi - lo], image[lo:hi])
+        upper[lo:top] = np.einsum("ij,ij->i", wpsi[:top - lo], image[lo + 1:top + 1])
+        lower[lo:top] = np.einsum("ij,ij->i", wpsi[1:], image[lo:top])
+        resid = image[lo:top] - diag[lo:top, None] * psi[lo:top]
+        resid -= lower[lo:top, None] * psi[lo + 1:top + 1]
+        first = max(lo, 1)  # psi_{-1} does not exist
+        resid[first - lo:] -= upper[first - 1:top - 1, None] * psi[first - 1:top - 1]
+        resid *= resid
+        defect[lo:top] = np.sqrt(resid @ weights)
+    return {-1: lower, 0: diag, 1: upper}, defect
+
+
+def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
+                  ) -> tuple[OperatorMatrix, OperatorMatrix, np.ndarray, np.ndarray]:
+    """The tridiagonal bands of X = sin(kx) and of the deformed momentum
+    P = k [cos(kx) p + (i hbar k / 2) sin(kx)] by quadrature with ``rule``,
+    and the three-term defect of each column n <= N-2 of either, from one
+    basis table at the nodes (see `_tridiagonal_part`).
+
+    Both operators are tridiagonal on the exact tower, so the defects
+    measure what quadrature puts off the band; no off-band entry is formed.
+    P applies p = -i hbar d/dx literally to the exact closed-form
+    derivative of each state.  In this real basis P = i R with R real,
+
+        R psi = hbar k [ (k/2) sin(kx) psi - cos(kx) psi' ],
+
+    so the band is read from the real table of R psi, which is built in the
+    storage of psi'; the table of sin(kx) psi then reuses it, so no more
+    than two tables are alive after `basis_table`.  The cost is O(N Q).
+    Raises `QuadratureOrderError` when the Hermiticity defect of the P band
+    or a P defect exceeds 1e-8 hbar k^2, the scale of P, which signals an
+    inadequate rule.
     """
     _check_rule(params, n_basis, rule)
-    psi, dpsi = basis_table(params, n_basis, rule.nodes)
+    psi, image = basis_table(params, n_basis, rule.nodes)
     s = np.sin(params.k * rule.nodes)
     c = np.cos(params.k * rule.nodes)
     hbar, k = params.hbar, params.k
-    # pvals = -i hbar k c dpsi + (i/2) hbar k^2 s psi, row block by row block
-    deriv_factor = -1j * hbar * k * c
-    value_factor = 0.5j * hbar * k**2 * s
-    pvals = np.empty(psi.shape, dtype=complex)
-    for rows in _row_blocks(psi):
-        np.multiply(deriv_factor, dpsi[rows], out=pvals[rows])
-        pvals[rows] += value_factor * psi[rows]
-    del dpsi
-    x = (psi * (rule.weights * s)) @ psi.T
-    psi *= rule.weights
-    weighted = psi.astype(complex)
-    del psi
-    p = weighted @ pvals.T
-    del weighted, pvals
-    resid = float(np.max(np.abs(p - p.conj().T)))
+    deriv_factor = -hbar * k * c
+    value_factor = 0.5 * hbar * k**2 * s
+    for lo, hi in _row_blocks(n_basis):
+        image[lo:hi] *= deriv_factor
+        image[lo:hi] += value_factor * psi[lo:hi]
+    r_band, p_defect = _tridiagonal_part(psi, rule.weights, image)
+    p_op = OperatorMatrix({p: 1j * v for p, v in r_band.items()}, n_basis)
+    resid = max(p_op.hermiticity_residual(), float(np.max(p_defect)))
     scale = hbar * k**2
     if resid > 1e-8 * scale:
         raise QuadratureOrderError(
             f"momentum matrix fails Hermiticity at {resid:.3e} ({resid / scale:.3e} of "
             f"hbar k^2); increase the quadrature order"
         )
-    return x, p
+    np.multiply(psi, s, out=image)
+    x_band, x_defect = _tridiagonal_part(psi, rule.weights, image)
+    return OperatorMatrix(x_band, n_basis), p_op, x_defect, p_defect
 
 
 def build_X(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorMatrix:
     """The tridiagonal band of the quadrature X of `quadrature_XP`."""
-    return OperatorMatrix.from_dense(quadrature_XP(params, n_basis, rule)[0], n_basis, bandwidth=1)
+    return quadrature_XP(params, n_basis, rule)[0]
 
 
 def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorMatrix:
     """The tridiagonal band of the quadrature P of `quadrature_XP`."""
-    return OperatorMatrix.from_dense(quadrature_XP(params, n_basis, rule)[1], n_basis, bandwidth=1)
+    return quadrature_XP(params, n_basis, rule)[1]
 
 
 def build_H(params: ModelParams, n_basis: int) -> OperatorMatrix:
@@ -339,68 +373,70 @@ def assemble_b(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,
 
 
 class OperatorSet(NamedTuple):
-    """X, P, H and the ladder pair on one truncated tower, with the dense
-    quadrature X and P whose tridiagonal bands they hold."""
+    """X, P, H and the ladder pair on one truncated tower, with the
+    three-term defects of the quadrature X and P that `quadrature_XP`
+    returns beside their bands."""
 
     X: OperatorMatrix
     P: OperatorMatrix
     H: OperatorMatrix
     b: OperatorMatrix
     bplus: OperatorMatrix
-    x_dense: np.ndarray
-    p_dense: np.ndarray
+    x_defect: np.ndarray
+    p_defect: np.ndarray
 
 
 def operator_set(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorSet:
-    """X and P by quadrature with ``rule``, cut to their tridiagonal band, H
-    from the spectrum, and b, b+ from those three; the dense X and P are
-    kept for the checks of what lies off the band."""
-    x_dense, p_dense = quadrature_XP(params, n_basis, rule)
-    x_op = OperatorMatrix.from_dense(x_dense, n_basis, bandwidth=1)
-    p_op = OperatorMatrix.from_dense(p_dense, n_basis, bandwidth=1)
+    """The tridiagonal bands of X and P by quadrature with ``rule``, H from
+    the spectrum, and b, b+ from those three; the defects of X and P are
+    kept for the checks of what quadrature puts off the band."""
+    x_op, p_op, x_defect, p_defect = quadrature_XP(params, n_basis, rule)
     h_op = build_H(params, n_basis)
     b_op, bplus_op = assemble_b(params, x_op, p_op, h_op)
-    return OperatorSet(x_op, p_op, h_op, b_op, bplus_op, x_dense, p_dense)
+    return OperatorSet(x_op, p_op, h_op, b_op, bplus_op, x_defect, p_defect)
 
 
-def structure_residuals(params: ModelParams, x_dense: np.ndarray, p_dense: np.ndarray,
-                        margin: int) -> dict[str, float]:
-    """Hermiticity and band structure of the dense quadrature X and P, and of
-    the full-width b they make, on the trusted block of ``margin``.
+def structure_residuals(params: ModelParams, ops: OperatorSet, margin: int) -> dict[str, float]:
+    """Hermiticity and band structure of the quadrature X and P, and of the
+    b they make, on the trusted block of ``margin``.
 
-    Every entry counts, so these see whatever quadrature leaves off the
-    band that the algebra keeps.  b is formed elementwise, in the order of
-    `assemble_b`: (X d1 + (i hbar / m) P) (1 / 2 eps), d1 = eps + 2 sqrt(eps H).
+    Band entries count as they are.  What quadrature puts off the band is
+    measured by the three-term defects of the columns n of the trusted
+    block: ``x_structure`` and ``p_hermitian`` take the largest defect of X
+    and of P, and ``b_annihilates_ground`` and ``b_off_ladder`` bound the
+    off-band part of column n of b = (X d1 + (i hbar / m) P) / (2 eps),
+    d1 = eps + 2 sqrt(eps H), by
+
+        (defect^X_n d1_n + (hbar / m) defect^P_n) / (2 eps).
+
+    A defect is the norm of the whole off-band part of a column, not a
+    bound on each entry of it: where the rule's Gram matrix is not the
+    identity, one entry of the dense quadrature matrix can exceed the
+    defect of its column.
     """
-    keep = x_dense.shape[0] - margin
-    if keep < 1:
-        raise ValueError(f"margin {margin} leaves no trusted block at N = {x_dense.shape[0]}")
-    xt = x_dense[:keep, :keep]
-    pt = p_dense[:keep, :keep]
-    out = {"x_hermitian": float(np.max(np.abs(xt - xt.T)))}
-    idx = np.arange(keep)
-    off_band = np.abs(xt)
-    diagonal = float(np.max(off_band[idx, idx]))
-    off_band[idx, idx] = 0.0
-    off_band[idx[:-1], idx[1:]] = 0.0
-    off_band[idx[1:], idx[:-1]] = 0.0
-    out["x_structure"] = max(diagonal, float(np.max(off_band)))
-    del off_band
-    out["p_hermitian"] = float(np.max(np.abs(pt - pt.conj().T)))
-
+    n_basis = ops.X.basis_size
+    keep = n_basis - margin
+    if not 1 <= keep < n_basis:
+        raise ValueError(f"margin {margin} leaves no trusted block with defects at N = {n_basis}")
+    x_defect, p_defect = ops.x_defect[:keep], ops.p_defect[:keep]
     eps = params.epsilon
     d1 = eps + 2.0 * _sqrt_eh(params, keep)
-    b = (1j * params.hbar / params.mass) * pt
-    b += xt * d1
-    b *= 0.5 / eps
-    out["b_annihilates_ground"] = float(np.max(np.abs(b[:, 0])))
-    out["b_ladder_diagonal_alpha"] = float(max(abs(b[n - 1, n] - alpha(params, n))
-                                               for n in range(1, min(25, keep - 1) + 1)))
-    off_ladder = np.abs(b)
-    del b
-    off_ladder[idx[:-1], idx[1:]] = 0.0
-    out["b_off_ladder"] = float(np.max(off_ladder))
-    return out
+    b_off_band = (x_defect * d1 + (params.hbar / params.mass) * p_defect) * (0.5 / eps)
+    b_diag = np.abs(ops.b.diagonal(0, margin))
+    b_sub = np.abs(ops.b.diagonal(-1, margin))  # <n+1|b|n>
+    b_ladder = ops.b.diagonal(1, margin)  # <n-1|b|n> at index n-1
+    return {
+        "x_hermitian": ops.X.hermiticity_residual(margin),
+        "x_structure": max(float(np.max(np.abs(ops.X.diagonal(0, margin)))),
+                           float(np.max(x_defect))),
+        "p_hermitian": max(ops.P.hermiticity_residual(margin), float(np.max(p_defect))),
+        "b_annihilates_ground": float(max(b_diag[0], np.max(b_sub[:1], initial=0.0),
+                                          b_off_band[0])),
+        "b_ladder_diagonal_alpha": float(max(abs(b_ladder[n - 1] - alpha(params, n))
+                                             for n in range(1, min(25, keep - 1) + 1))),
+        "b_off_ladder": float(max(np.max(b_diag), np.max(b_sub, initial=0.0),
+                                  np.max(b_off_band))),
+    }
 
 
 def bplus_second_form(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,
@@ -462,16 +498,17 @@ def casimir_matrices(params: ModelParams, b: OperatorMatrix,
     return c1, c2
 
 
-def extended_algebra_residuals(params: ModelParams, b: OperatorMatrix, bplus: OperatorMatrix,
-                               H: OperatorMatrix, margin: int = TRUST_MARGIN) -> dict[str, float]:
-    """Residuals of the extended-algebra relations: C commutes with H, b
-    and b+, and the bilinear closure
+def extended_algebra_residuals(params: ModelParams, c1: OperatorMatrix, b: OperatorMatrix,
+                               bplus: OperatorMatrix, H: OperatorMatrix,
+                               margin: int = TRUST_MARGIN) -> dict[str, float]:
+    """Residuals of the extended-algebra relations for the Casimir
+    C = b b+ + h(H), given as the ``c1`` of `casimir_matrices`: C commutes
+    with H, b and b+, and the bilinear closure
 
         sqrt(H/eps) b b+ - (sqrt(H/eps) - 1) b+ b
             = C + sqrt(H/eps) (1 + 3 sqrt(H/eps)).
     """
     n_basis = b.basis_size
-    c1, _ = casimir_matrices(params, b, bplus)
     ratios = np.array([n + params.nu for n in range(n_basis)])
     s = diag_operator(ratios, n_basis)
     rhs_diag = diag_operator(ratios * (1.0 + 3.0 * ratios), n_basis)

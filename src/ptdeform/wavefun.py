@@ -11,7 +11,8 @@ written through its Gegenbauer connection with one log-space constant.
 Derivatives follow from d/dX C_j^(nu) = 2 nu C_{j-1}^(nu+1), so pointwise
 residuals of differential identities probe only floating-point rounding.
 `basis_table` and `ladder_table` evaluate the lowest levels as row tables,
-with the ladder actions b psi_n = alpha_n psi_{n-1}, b+ psi_n = alpha_{n+1} psi_{n+1}.
+with the ladder actions b psi_n = alpha_n psi_{n-1}, b+ psi_n = alpha_{n+1} psi_{n+1};
+`psi_form_tables` evaluates both closed forms from one Gegenbauer row table.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "ladder_table",
     "psi_second_deriv_value",
     "psi_value_legendre",
+    "psi_form_tables",
     "gram_matrix",
     "chebyshev_points",
     "square_well_state",
@@ -235,6 +237,20 @@ def psi_second_deriv_value(ef: Eigenfunction, x):
     return _shape(p.k**2 * c ** (nu - 2.0) * bracket, x)
 
 
+def _legendre_log_const(params: ModelParams, n: int) -> float:
+    """log of the constant of the Legendre form of psi_n: the norm
+    sqrt(k (n + nu) Gamma(n + 2 nu) / n!) times the Gegenbauer connection
+    Gamma(2 nu) n! / (2^(nu-1/2) Gamma(nu+1/2) Gamma(n+2 nu))."""
+    nu = params.nu
+    return (
+        0.5 * (math.log(params.k) + math.log(n + nu)
+               + math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * nu))
+        + math.lgamma(2.0 * nu)
+        - math.lgamma(nu + 0.5)
+        - (nu - 0.5) * math.log(2.0)
+    )
+
+
 def psi_value_legendre(params: ModelParams, n: int, x):
     """The same bound state through its associated Legendre form,
 
@@ -249,16 +265,34 @@ def psi_value_legendre(params: ModelParams, n: int, x):
         raise ValueError(f"level index must be >= 0, got {n}")
     nu = params.nu
     s, c = _trig(params, x)
-    log_const = (
-        0.5 * (math.log(params.k) + math.log(n + nu)
-               + math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * nu))
-        + math.lgamma(2.0 * nu)
-        - math.lgamma(nu + 0.5)
-        - (nu - 0.5) * math.log(2.0)
-    )
     cn = gegenbauer_row(n, nu, s)[n]
-    val = math.exp(log_const) * np.sqrt(c) * (1.0 - s * s) ** (0.5 * nu - 0.25) * cn
+    val = (math.exp(_legendre_log_const(params, n)) * np.sqrt(c)
+           * (1.0 - s * s) ** (0.5 * nu - 0.25) * cn)
     return _shape(val, x)
+
+
+def psi_form_tables(params: ModelParams, n_levels: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """psi_n for n = 0 .. n_levels-1 at the 1-d array ``x``, one row per
+    level, in its Gegenbauer form and in its Legendre form, both from one
+    Gegenbauer row table: O(n_levels * len(x)) in place of one recurrence
+    per level and form.  The rows equal `psi_value` of the closed-form
+    states and `psi_value_legendre`, value for value and in the sign of a
+    zero: the Gegenbauer rows are the arithmetic of those functions, and the
+    polynomial factor N_n C_n^(nu) has its -0.0 mapped to 0.0, as the sum
+    over basis coefficients in `psi_value` maps it.
+    """
+    if n_levels < 1:
+        raise ValueError(f"number of levels must be >= 1, got {n_levels}")
+    nu = params.nu
+    s, c = _trig(params, x)
+    rows = gegenbauer_row(n_levels - 1, nu, s)
+    phi = norm_tower(params, n_levels)[:, None] * rows
+    phi += 0.0  # -0.0 + 0.0 is 0.0
+    consts = np.array([math.exp(_legendre_log_const(params, n)) for n in range(n_levels)])
+    legendre = consts[:, None] * np.sqrt(c)
+    legendre *= (1.0 - s * s) ** (0.5 * nu - 0.25)
+    legendre *= rows
+    return c**nu * phi, legendre
 
 
 def gram_matrix(efs: list[Eigenfunction], rule: QuadratureRule) -> np.ndarray:

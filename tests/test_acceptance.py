@@ -204,7 +204,8 @@ def test_extended_algebra():
     failures = []
     for nu in NU_SET:
         params, _, _, _, h_op, b_op, bplus_op = operator_set(nu)
-        residuals = extended_algebra_residuals(params, b_op, bplus_op, h_op, MARGIN)
+        c1, _ = casimir_matrices(params, b_op, bplus_op)
+        residuals = extended_algebra_residuals(params, c1, b_op, bplus_op, h_op, MARGIN)
         for name, value in residuals.items():
             if value >= 1e-8:
                 failures.append(f"nu={nu}: {name} residual {value:.3e} >= 1e-8")

@@ -482,6 +482,9 @@ def test_main_rejects_non_finite_input(argv, flag, capsys):
         (["ladder", "--nu", "2", "--n-max", "1000000000"], "--n-max would need"),
         (["spectrum", "--nu", "2", "--n-max", "1000000000"], "--n-max would need"),
         (["verify", "--nu", "2", "--grid-points", "1000000000"], "--grid-points would need"),
+        # more levels than grid points, named by both flags before the grid is built
+        (["spectrum", "--nu", "2", "--n-max", "5000"], "--n-max 5000 asks for 5001 levels"),
+        (["spectrum", "--nu", "2", "--n-max", "300", "--grid-points", "300"], "--grid-points"),
     ],
 )
 def test_main_rejects_out_of_range_input(argv, needle, capsys):

@@ -20,16 +20,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ptdeform import opmat, wavefun
+from ptdeform import cli, opmat, wavefun
 from ptdeform.algebra import ModelParams, alpha, energy, f_of, f_of_uncorrected
 from ptdeform.cli import RunConfig, run_verification
 from ptdeform.opmat import (
     OperatorMatrix,
+    OperatorSet,
     QuadratureOrderError,
     assemble_b,
     bplus_second_form,
     build_grid_hamiltonian,
-    build_H,
     build_P,
     build_su11,
     build_X,
@@ -254,53 +254,95 @@ def test_rule_interval_must_match_box():
         build_X(params, N, gauss_legendre(2 * N + 60, -1.0, 1.0))
 
 
+def _images(params, psi, dpsi, nodes):
+    """sin(kx) psi and R psi = (P/i) psi = hbar k [(k/2) sin(kx) psi - cos(kx) psi'],
+    row by row, in the arithmetic of `quadrature_XP`."""
+    s = np.sin(params.k * nodes)
+    c = np.cos(params.k * nodes)
+    hbar, k = params.hbar, params.k
+    return s * psi, (-hbar * k * c) * dpsi + (0.5 * hbar * k**2 * s) * psi
+
+
+def _rule(params, n_basis):
+    return gauss_legendre(max(2 * n_basis + 60, math.ceil(2 * n_basis + 2 * params.nu + 10)),
+                          *params.box)
+
+
 @pytest.mark.parametrize("nu", [1.0, 3.7])
 @pytest.mark.parametrize("n_basis", [30, 120])
 def test_x_and_p_are_the_per_state_quadrature(n_basis, nu):
     # reference: psi by one psi_value evaluation per state, psi' from the
-    # basis table (checked against mpmath in test_wavefun)
+    # basis table (checked against mpmath in test_wavefun), and the dense
+    # quadrature products formed here; each band entry is one sum over the
+    # nodes, so it meets the dense entry within the rounding bound of two
+    # Q-term sums, 2 gamma_(Q+1) sum_q |w_q psi_m(q) (T psi_n)(q)|
     params = ModelParams(nu=nu)
     rule = gauss_legendre(2 * n_basis + 60, *params.box)
     psi = np.array([psi_value(build_eigenfunction(params, n), rule.nodes) for n in range(n_basis)])
     _, dpsi = basis_table(params, n_basis, rule.nodes)
-    s = np.sin(params.k * rule.nodes)
-    c = np.cos(params.k * rule.nodes)
-    hbar, k = params.hbar, params.k
-    x_ref = (psi * (rule.weights * s)) @ psi.T
-    pvals = -1j * hbar * k * c * dpsi + 0.5j * hbar * k**2 * s * psi
-    p_ref = (psi * rule.weights) @ pvals.T
-    x, p = quadrature_XP(params, n_basis, rule)
-    assert np.array_equal(x, x_ref)
-    assert np.array_equal(p, p_ref)
-    # the set holds the same dense arrays, and its operators (like build_X
-    # and build_P) keep only their tridiagonal band
+    x_op, p_op, _, _ = quadrature_XP(params, n_basis, rule)
+    gamma = 2 * (rule.order + 1) * 2.0**-53
+    x_image, r_image = _images(params, psi, dpsi, rule.nodes)
+    # X is real, and P is i times a real matrix
+    for band, image in ((x_op, x_image), (-1j * p_op, r_image)):
+        ref = (psi * rule.weights) @ image.T
+        size = np.abs(psi * rule.weights) @ np.abs(image).T
+        assert band.bandwidth == 1
+        for off in (-1, 0, 1):
+            v = band.diagonals[off]
+            assert np.all(v.imag == 0.0)
+            assert np.all(np.abs(v.real - np.diagonal(ref, off)) <= gamma * np.diagonal(size, off))
+    # the set holds the same bands, as build_X and build_P do
     ops = operator_set(params, n_basis, rule)
-    assert np.array_equal(ops.x_dense, x_ref)
-    assert np.array_equal(ops.p_dense, p_ref)
-    for bands, ref in (((ops.X, build_X(params, n_basis, rule)), x_ref),
-                       ((ops.P, build_P(params, n_basis, rule)), p_ref)):
-        for built in bands:
-            assert built.bandwidth == 1
-            assert all(np.array_equal(built.diagonals[p], np.diagonal(ref, p)) for p in (-1, 0, 1))
+    for built, ref in ((ops.X, x_op), (build_X(params, n_basis, rule), x_op),
+                       (ops.P, p_op), (build_P(params, n_basis, rule), p_op)):
+        assert built.bandwidth == 1
+        assert all(np.array_equal(built.diagonals[off], ref.diagonals[off]) for off in (-1, 0, 1))
+
+
+def _dense_off_band(params, n_basis, rule, keep):
+    """The largest |entry| off the tridiagonal band on the trusted block of
+    the dense quadrature X and P/i, formed here from one basis table."""
+    psi, dpsi = basis_table(params, n_basis, rule.nodes)
+    rows, cols = np.indices((keep, keep))
+    off_band = np.abs(rows - cols) > 1
+    return tuple(float(np.max(np.abs(((psi * rule.weights) @ image.T)[:keep, :keep][off_band])))
+                 for image in _images(params, psi, dpsi, rule.nodes))
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.2, 3.7, 49.9])
+@pytest.mark.parametrize("n_basis", [30, 120, 480])
+def test_defects_dominate_the_dense_off_band_content(n_basis, nu):
+    # A defect is the norm of a column's whole off-band part, which bounds
+    # each entry of it only where the rule's Gram matrix is the identity;
+    # taken over the trusted block, the largest defect still bounds the
+    # largest off-band entry of the dense quadrature (by 1.3-12x here)
+    params = ModelParams(nu=nu)
+    rule = _rule(params, n_basis)
+    keep = n_basis - MARGIN
+    ops = operator_set(params, n_basis, rule)
+    x_off, p_off = _dense_off_band(params, n_basis, rule, keep)
+    assert float(np.max(ops.x_defect[:keep])) >= x_off
+    assert float(np.max(ops.p_defect[:keep])) >= p_off
 
 
 def test_quadrature_builders_hold_few_tables():
-    # A table is one real N x Q array of the basis.  Written as whole-array
-    # expressions, the separate X and P builders held five and eight tables
-    # at once; with that many large temporaries the resident peak of a
-    # verify depended on where the allocator happened to place them.  X and
-    # P from one basis table must hold no more than P alone did then.
-    n_basis = 240
+    # A table is one real N x Q array of the basis.  `basis_table` holds
+    # three at its peak; after it, the bands and defects of X and P take
+    # block-sized temporaries and reuse the storage of psi', so no complex
+    # table and no N x N array (0.49 of a table at N = 1500) fits under
+    # these bounds.  Measured: 3.08 tables at N = 240, 3.00 at N = 1500.
     params = ModelParams(nu=3.7)
-    rule = gauss_legendre(2 * n_basis + 60, *params.box)
-    table = n_basis * rule.nodes.size * 8
-    tracemalloc.start()
-    try:
-        quadrature_XP(params, n_basis, rule)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5.5 * table
+    for n_basis, bound in ((240, 3.5), (1500, 3.2)):
+        rule = gauss_legendre(2 * n_basis + 60, *params.box)
+        table = n_basis * rule.nodes.size * 8
+        tracemalloc.start()
+        try:
+            quadrature_XP(params, n_basis, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * table
 
 
 def _count_basis_tables(monkeypatch) -> list[int]:
@@ -333,27 +375,78 @@ def test_one_verify_evaluates_one_basis_table_per_point_set(monkeypatch):
     assert calls == [N, 21, 11]
 
 
+def test_one_verify_builds_the_casimir_pair_once(monkeypatch):
+    # the Casimir relations and the extended algebra read the same c1
+    calls = []
+    original = opmat.casimir_matrices
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (opmat, cli):
+        monkeypatch.setattr(module, "casimir_matrices", counted)
+    run_verification(RunConfig(nu=2.0))
+    assert len(calls) == 1
+
+
+def _closed_x(nu, n_basis):
+    """X_{n+1,n} = X_{n,n+1} = (1/2) sqrt((n+1)(n+2nu) / ((n+nu)(n+nu+1)))."""
+    n = np.arange(n_basis - 1)
+    return 0.5 * np.sqrt((n + 1) * (n + 2 * nu) / ((n + nu) * (n + nu + 1)))
+
+
 @pytest.mark.parametrize("nu", NU_SET)
 def test_x_matrix_closed_form(nu):
+    # the band entry by entry, and the defect of every column (n <= N-2)
+    # for what lies off the band
     params, rule, *_ = operators(nu)
-    x = quadrature_XP(params, N, rule)[0]  # every quadrature entry, off the band too
-    n = np.arange(N - 1)
-    closed = np.sqrt((n + 1) * (n + 2 * nu)) / (2.0 * np.sqrt((n + nu) * (n + nu + 1)))
-    band = np.diag(closed, 1) + np.diag(closed, -1)
-    assert float(np.max(np.abs(x - band))) < 1e-10
-    assert float(np.max(np.abs(x - x.T))) < 1e-10
+    x_op, _, x_defect, _ = quadrature_XP(params, N, rule)
+    closed = _closed_x(nu, N)
+    assert float(np.max(np.abs(x_op.diagonals[0]))) < 1e-10
+    assert float(np.max(np.abs(x_op.diagonals[1] - closed))) < 1e-10
+    assert float(np.max(np.abs(x_op.diagonals[-1] - closed))) < 1e-10
+    assert float(np.max(x_defect)) < 1e-10
+    assert x_op.hermiticity_residual() < 1e-10
 
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_p_matrix_closed_form(nu):
+    # <n|P|n+1> = -i (hbar k^2 / 2) (2(n+nu) + 1) X_{n,n+1}, and the defect
+    # of every column (n <= N-2) for what lies off the band
     params, rule, *_ = operators(nu)
-    p = quadrature_XP(params, N, rule)[1]  # every quadrature entry, off the band too
+    _, p_op, _, p_defect = quadrature_XP(params, N, rule)
     n = np.arange(N - 1)
-    x_band = np.sqrt((n + 1) * (n + 2 * nu)) / (2.0 * np.sqrt((n + nu) * (n + nu + 1)))
-    p_band = -1j * (params.hbar * params.k**2 / 2.0) * (2.0 * (n + nu) + 1.0) * x_band
-    closed = np.diag(p_band, 1) + np.diag(p_band.conj(), -1)
-    assert float(np.max(np.abs(p - closed))) < 1e-10
-    assert float(np.max(np.abs(p - p.conj().T))) < 1e-10
+    p_band = -1j * (params.hbar * params.k**2 / 2.0) * (2.0 * (n + nu) + 1.0) * _closed_x(nu, N)
+    assert float(np.max(np.abs(p_op.diagonals[0]))) < 1e-10
+    assert float(np.max(np.abs(p_op.diagonals[1] - p_band))) < 1e-10
+    assert float(np.max(np.abs(p_op.diagonals[-1] - p_band.conj()))) < 1e-10
+    assert float(np.max(p_defect)) < 1e-10
+    assert p_op.hermiticity_residual() < 1e-10
+
+
+@pytest.mark.parametrize("params", [ModelParams(nu=nu) for nu in (1.0, 2.0, 3.7, 49.9)]
+                         + [ModelParams(nu=3.7, hbar=1.3, mass=0.7, k=2.1)],
+                         ids=["1.0", "2.0", "3.7", "49.9", "units"])
+@pytest.mark.parametrize("n_basis", [30, 480])
+def test_xp_closed_form(n_basis, params):
+    # the quadrature bands against the paper's closed forms,
+    #   X_{n+1,n} = (1/2) sqrt((n+1)(n+2nu) / ((n+nu)(n+nu+1))),
+    #   (i hbar / m) P = 2 eps b - X diag(eps (1 + 2(n+nu))),
+    # with b the exact lowering operator, <n-1|b|n> = alpha_n; relative to
+    # the largest entry (measured at most 1.0e-13 for X, 2.8e-14 for P)
+    nu, eps = params.nu, params.epsilon
+    x_op, p_op, _, _ = quadrature_XP(params, n_basis, _rule(params, n_basis))
+    x_closed = _closed_x(nu, n_basis)
+    d1 = eps * (1.0 + 2.0 * (np.arange(n_basis) + nu))
+    alphas = np.array([alpha(params, n) for n in range(1, n_basis)])
+    ihm_p = {off: (1j * params.hbar / params.mass) * v for off, v in p_op.diagonals.items()}
+    p_closed = {1: 2.0 * eps * alphas - x_closed * d1[1:], 0: 0.0, -1: -x_closed * d1[:-1]}
+    x_err = max(float(np.max(np.abs(x_op.diagonals[off] - (0.0 if off == 0 else x_closed))))
+                for off in (-1, 0, 1))
+    p_err = max(float(np.max(np.abs(ihm_p[off] - p_closed[off]))) for off in (-1, 0, 1))
+    assert x_err < 1e-12 * float(np.max(x_closed))
+    assert p_err < 1e-12 * float(np.max(np.abs(p_closed[1])))
 
 
 @pytest.mark.parametrize("k", [1.0, 1000.0])
@@ -369,82 +462,92 @@ def test_p_hermiticity_check_is_relative_to_its_scale(k):
         quadrature_XP(params, N, skewed)
 
 
-LEAK = 1e-6
+LEAK = 1e-9
 
 
-def _leaky(build, which, entry):
-    """``build`` with ``entry`` added at (0, 5) of its ``which``-th array and
-    its conjugate at (5, 0)."""
-    def leaky_build(params, n_basis, rule):
-        pair = list(build(params, n_basis, rule))
-        pair[which] = pair[which].copy()
-        pair[which][0, 5] += entry
-        pair[which][5, 0] += np.conj(entry)
-        return tuple(pair)
-    return leaky_build
+def _leaky(kernel, which, leak=LEAK):
+    """``kernel`` with ``leak`` psi_5 added to the image of psi_0 in its
+    ``which``-th call: 0 is P/i, 1 is X."""
+    calls = []
+
+    def leaky_kernel(psi, weights, image):
+        if len(calls) == which:
+            image = image.copy()
+            image[0] += leak * psi[5]
+        calls.append(which)
+        return kernel(psi, weights, image)
+    return leaky_kernel
 
 
 @pytest.mark.parametrize(
-    "which, entry, relations",
-    [(0, LEAK, ("x_structure", "b_off_ladder")),
-     (1, 1j * LEAK, ("b_off_ladder",))],
+    "which, relations",
+    [(1, ("x_structure", "b_off_ladder")),
+     (0, ("b_off_ladder", "p_hermitian"))],
     ids=["X", "P"],
 )
-def test_off_band_quadrature_content_is_reported(monkeypatch, which, entry, relations):
-    # the algebra keeps only the tridiagonal band of X and P; the structure
-    # relations read the dense quadrature arrays, so content off the band
-    # stays visible
+def test_off_band_quadrature_content_is_reported(monkeypatch, which, relations):
+    # the algebra keeps only the tridiagonal band of X and P; content that
+    # quadrature would put off the band shows in the defects, so the
+    # structure relations still report it
     clean = {r.name: r.residual for r in run_verification(RunConfig(nu=2.0)).relations}
-    monkeypatch.setattr(opmat, "quadrature_XP", _leaky(opmat.quadrature_XP, which, entry))
+    monkeypatch.setattr(opmat, "_tridiagonal_part", _leaky(opmat._tridiagonal_part, which))
     leaked = {r.name: r.residual for r in run_verification(RunConfig(nu=2.0)).relations}
     for name in relations:
         assert clean[name] < 1e-3 * LEAK
         assert leaked[name] > 0.9 * LEAK
 
 
+def test_off_band_p_content_above_its_scale_raises(monkeypatch):
+    # the Hermiticity guard of the P band reads the P defects too
+    monkeypatch.setattr(opmat, "_tridiagonal_part", _leaky(opmat._tridiagonal_part, 0, 1e-6))
+    params = ModelParams(nu=2.0)
+    with pytest.raises(QuadratureOrderError, match="Hermiticity"):
+        quadrature_XP(params, N, gauss_legendre(2 * N + 60, *params.box))
+
+
 BIT_SIZES = [8, 30, 120]
 BIT_NUS = [1.0, 1.294678, 3.7, 49.9]
-
-
-def _rule(params, n_basis):
-    return gauss_legendre(max(2 * n_basis + 60, math.ceil(2 * n_basis + 2 * params.nu + 10)),
-                          *params.box)
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("nu", BIT_NUS)
 @pytest.mark.parametrize("n_basis", BIT_SIZES)
 def test_structure_residuals_match_the_full_width_operators(n_basis, nu, perturbed):
-    # reference: the same arrays stored at full width, b assembled from them,
-    # read through hermiticity_residual and trusted
+    # reference: the bands at full width through `trusted`, and the
+    # off-band part of each column n of b bounded from the defects,
+    # (defect^X_n d1_n + (hbar/m) defect^P_n) / (2 eps)
     params = ModelParams(nu=nu)
-    rule = _rule(params, n_basis)
-    x, p = quadrature_XP(params, n_basis, rule)
-    if perturbed:  # content off the band and off Hermiticity in every entry
+    ops = operator_set(params, n_basis, _rule(params, n_basis))
+    if perturbed:  # content off Hermiticity and off the ladder in every band entry
         rng = np.random.default_rng(n_basis)
-        x = x + 1e-6 * rng.standard_normal(x.shape)
-        p = p + 1e-6 * (rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape))
+
+        def noise():
+            return OperatorMatrix({off: 1e-6 * rng.standard_normal(n_basis - abs(off))
+                                   for off in (-1, 0, 1)}, n_basis)
+
+        x_op, p_op = ops.X + noise(), ops.P + noise() + 1j * noise()
+        ops = OperatorSet(x_op, p_op, ops.H, *assemble_b(params, x_op, p_op, ops.H),
+                          ops.x_defect + 1e-6 * rng.random(n_basis - 1),
+                          ops.p_defect + 1e-6 * rng.random(n_basis - 1))
     margin = 4
-    x_full = OperatorMatrix.from_dense(x, n_basis)
-    p_full = OperatorMatrix.from_dense(p, n_basis)
-    b_full, _ = assemble_b(params, x_full, p_full, build_H(params, n_basis))
-    xt = x_full.trusted(margin)
-    bt = b_full.trusted(margin)
     keep = n_basis - margin
+    xt, pt, bt = (op.trusted(margin) for op in (ops.X, ops.P, ops.b))
+    x_defect, p_defect = ops.x_defect[:keep], ops.p_defect[:keep]
+    eps = params.epsilon
+    d1 = eps + 2.0 * np.sqrt([eps * energy(params, n) for n in range(keep)])
+    b_off_band = (x_defect * d1 + (params.hbar / params.mass) * p_defect) * (0.5 / eps)
     ladder = np.ones_like(bt, dtype=bool)
     ladder[np.arange(keep - 1), np.arange(1, keep)] = False
     expected = {
-        "x_hermitian": x_full.hermiticity_residual(margin),
-        "x_structure": max(float(np.max(np.abs(np.diag(xt)))),
-                           float(np.max(np.abs(np.triu(xt, 2)) + np.abs(np.tril(xt, -2)))),
-                           float(np.max(np.abs(xt.imag)))),
-        "p_hermitian": p_full.hermiticity_residual(margin),
-        "b_annihilates_ground": float(np.max(np.abs(bt[:, 0]))),
+        "x_hermitian": float(np.max(np.abs(xt - xt.T))),
+        "x_structure": max(float(np.max(np.abs(np.diag(xt)))), float(np.max(x_defect))),
+        "p_hermitian": max(float(np.max(np.abs(pt - pt.conj().T))), float(np.max(p_defect))),
+        "b_annihilates_ground": max(float(np.max(np.abs(bt[:, 0]))), float(b_off_band[0])),
         "b_ladder_diagonal_alpha": float(max(abs(bt[n - 1, n] - alpha(params, n))
                                              for n in range(1, min(25, keep - 1) + 1))),
-        "b_off_ladder": float(np.max(np.abs(bt[ladder]))),
+        "b_off_ladder": max(float(np.max(np.abs(bt[ladder]))), float(np.max(b_off_band))),
     }
-    assert structure_residuals(params, x, p, margin) == expected
+    assert structure_residuals(params, ops, margin) == expected
 
 
 @pytest.mark.parametrize("nu", BIT_NUS)
@@ -461,10 +564,12 @@ def test_wavefunction_residuals_match_the_per_state_route(n_states, nu):
 
 
 def test_structure_residuals_need_a_trusted_block():
+    # the defect of column N-1 needs psi_N, so the margin is at least 1
     params, rule, *_ = operators(2.0)
-    x, p = quadrature_XP(params, N, rule)
-    with pytest.raises(ValueError):
-        structure_residuals(params, x, p, N)
+    ops = operator_set(params, N, rule)
+    for margin in (0, N):
+        with pytest.raises(ValueError):
+            structure_residuals(params, ops, margin)
 
 
 def test_x01_reference_value():
@@ -595,7 +700,8 @@ def test_casimir_is_constant(nu):
 @pytest.mark.parametrize("nu", NU_SET)
 def test_extended_algebra(nu):
     params, _, _, _, h_op, b_op, bplus_op = operators(nu)
-    residuals = extended_algebra_residuals(params, b_op, bplus_op, h_op, MARGIN)
+    c1, _ = casimir_matrices(params, b_op, bplus_op)
+    residuals = extended_algebra_residuals(params, c1, b_op, bplus_op, h_op, MARGIN)
     assert set(residuals) == {
         "extended_commutes_h",
         "extended_commutes_b",

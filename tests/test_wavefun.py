@@ -31,6 +31,7 @@ from ptdeform.wavefun import (
     norm0,
     norm_n,
     norm_tower,
+    psi_form_tables,
     psi_second_deriv_value,
     psi_value,
     psi_value_legendre,
@@ -218,6 +219,24 @@ def test_legendre_route_matches_mpmath(nu, k):
 def test_legendre_route_validation():
     with pytest.raises(ValueError):
         psi_value_legendre(ModelParams(nu=2.0), -1, 0.0)
+    with pytest.raises(ValueError):
+        psi_form_tables(ModelParams(nu=2.0), 0, np.zeros(3))
+
+
+@pytest.mark.parametrize("samples", [21, 100])
+@pytest.mark.parametrize("nu", [1.0, 2.0, 3.7, 49.9, 150.0])
+def test_form_tables_are_the_per_state_values(nu, samples):
+    # value for value and in the sign of a zero: an odd count holds x = 0,
+    # where C_n(0) is -0.0 for n = 3 mod 4, and at nu = 150 cos^nu
+    # underflows to zero near the walls
+    p = ModelParams(hbar=1.3, mass=0.7, k=2.1, nu=nu)
+    points = chebyshev_points(p, samples)
+    geg, leg = psi_form_tables(p, 31, points)
+    for n in range(31):
+        for table, ref in ((geg, psi_value(build_eigenfunction(p, n), points)),
+                           (leg, psi_value_legendre(p, n, points))):
+            assert np.array_equal(table[n], ref)
+            assert np.array_equal(np.signbit(table[n]), np.signbit(ref))
 
 
 @pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 50.0])
