@@ -723,12 +723,9 @@ def main(argv: list[str] | None = None) -> int:
             samples = getattr(args, "samples", 1)
             if samples < 1:
                 raise ValueError(f"--samples must be >= 1, got {samples}")
-            # the cells of each table; for wavefunctions also a term quadratic
-            # in --n-max, which caps it near 2600 at one sample, although the
-            # command keeps O(n_max * samples) numbers
+            # the cells of each table
             if args.subcommand == "wavefunctions":
-                kept = samples * (3 * n_max + 4) + (n_max + 1) * (n_max + 2) // 2
-                _check_memory("--n-max and --samples", kept, 300)
+                _check_memory("--n-max and --samples", samples * (3 * n_max + 4), 300)
             elif args.subcommand in ("spectrum", "ladder"):
                 columns = 4 if args.subcommand == "spectrum" else 6
                 _check_memory("--n-max", (n_max + 1) * columns, 300)

@@ -10,11 +10,12 @@ O(N w1 w2) and a sum or a norm O(N w).  `quadrature_XP` forms only the
 tridiagonal band of X and P, each entry one sum over the nodes, and for
 each column n the three-term defect ||T psi_n - sum_{|m-n|<=1} T_mn psi_m||
 over the nodes, which vanishes exactly when the quadrature T is
-tridiagonal; after the basis table everything is O(N Q), and no N x N
-array is formed.  `operator_set`, the one builder of the X/P/H/b/b+ set,
-keeps the defects beside the bands, and the structure checks of
-`structure_residuals` read them, so whatever quadrature puts off the band
-is still measured.
+tridiagonal.  It reduces the basis stream of `basis_blocks` block by
+block, so the whole pass is O(N Q) in time and O(32 Q) in scratch: no
+N x Q table and no N x N array is formed.  `operator_set`, the one
+builder of the X/P/H/b/b+ set, keeps the defects beside the bands, and
+the structure checks of `structure_residuals` read them, so whatever
+quadrature puts off the band is still measured.
 
 Because the basis is truncated at ``basis_size``, entries near the edge
 of a product matrix are contaminated by the missing tail of the sum.
@@ -39,7 +40,7 @@ from .algebra import (
     h_of,
 )
 from .specfun import QuadratureRule
-from .wavefun import basis_table, ladder_table
+from .wavefun import basis_blocks, ladder_table
 
 __all__ = [
     "QuadratureOrderError",
@@ -240,11 +241,6 @@ def energy_diag(params: ModelParams, n_basis: int, fn) -> OperatorMatrix:
     return diag_operator([fn(params, energy(params, n)) for n in range(n_basis)], n_basis)
 
 
-def _row_blocks(count: int, size: int = 32):
-    """(lo, hi) bounds of the blocks of ``size`` rows that cover ``count`` rows."""
-    return ((lo, min(lo + size, count)) for lo in range(0, count, size))
-
-
 def quadrature_floor(params: ModelParams, n_basis: int) -> int | float:
     """The lowest quadrature order the X/P matrices of the lowest ``n_basis``
     states accept, ceil(2N + 2 nu + 10); infinite where 2 nu overflows."""
@@ -266,35 +262,37 @@ def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None
         raise ValueError(f"quadrature interval {rule.interval} does not match the box ({a}, {b})")
 
 
-def _tridiagonal_part(psi: np.ndarray, weights: np.ndarray,
-                     image: np.ndarray) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """The tridiagonal band of the real operator T whose images T psi_n are
-    the rows of ``image``, T_mn = sum_q w_q psi_m T psi_n, and the three-term
-    defect of each column n <= N-2,
+def _tridiagonal_block(psi: np.ndarray, weights: np.ndarray, image: np.ndarray, lo: int,
+                       hi: int, band: dict[int, np.ndarray], defect: np.ndarray) -> None:
+    """Columns lo .. hi-1 of the tridiagonal band of the real operator T,
+    T_mn = sum_q w_q psi_m T psi_n, and the three-term defect of each of
+    them up to column N-2,
 
-        ||T psi_n - sum_{|m-n| <= 1} T_mn psi_m||_Q,   ||f||_Q^2 = sum_q w_q f_q^2.
+        ||T psi_n - sum_{|m-n| <= 1} T_mn psi_m||_Q,   ||f||_Q^2 = sum_q w_q f_q^2,
+
+    written into ``band`` (offsets -1, 0, 1) and ``defect``.  ``psi`` holds
+    the levels max(lo-1, 0) .. top, top = min(hi, N-1), the window of a
+    `basis_blocks` block, and ``image`` the images T psi_n of the levels
+    lo .. top; T_{lo-1,lo} must already be in ``band``.
 
     T_{n,n+1} and T_{n+1,n} are separate sums, so their difference measures
     Hermiticity.  The defect vanishes exactly when T psi_n lies in the span
     of psi_{n-1}, psi_n, psi_{n+1}; column N-1 has none, as psi_N is not in
-    the table.  One pass of row blocks, O(N Q), with block-sized temporaries.
+    the table.  O(len(psi) Q), with block-sized temporaries.
     """
-    n = psi.shape[0]
-    diag, upper, lower = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-    defect = np.empty(n - 1)
-    for lo, hi in _row_blocks(n):
-        top = min(hi, n - 1)  # the rows that couple to a next row
-        wpsi = psi[lo:top + 1] * weights
-        diag[lo:hi] = np.einsum("ij,ij->i", wpsi[:hi - lo], image[lo:hi])
-        upper[lo:top] = np.einsum("ij,ij->i", wpsi[:top - lo], image[lo + 1:top + 1])
-        lower[lo:top] = np.einsum("ij,ij->i", wpsi[1:], image[lo:top])
-        resid = image[lo:top] - diag[lo:top, None] * psi[lo:top]
-        resid -= lower[lo:top, None] * psi[lo + 1:top + 1]
-        first = max(lo, 1)  # psi_{-1} does not exist
-        resid[first - lo:] -= upper[first - 1:top - 1, None] * psi[first - 1:top - 1]
-        resid *= resid
-        defect[lo:top] = np.sqrt(resid @ weights)
-    return {-1: lower, 0: diag, 1: upper}, defect
+    diag, upper, lower = band[0], band[1], band[-1]
+    top = min(hi, diag.size - 1)  # the rows that couple to a next row
+    own = psi[lo - max(lo - 1, 0):]  # levels lo .. top
+    wpsi = own * weights
+    diag[lo:hi] = np.einsum("ij,ij->i", wpsi[:hi - lo], image[:hi - lo])
+    upper[lo:top] = np.einsum("ij,ij->i", wpsi[:top - lo], image[1:])
+    lower[lo:top] = np.einsum("ij,ij->i", wpsi[1:], image[:top - lo])
+    resid = image[:top - lo] - diag[lo:top, None] * own[:top - lo]
+    resid -= lower[lo:top, None] * own[1:]
+    first = max(lo, 1)  # psi_{-1} does not exist
+    resid[first - lo:] -= upper[first - 1:top - 1, None] * psi[:top - first]
+    resid *= resid
+    defect[lo:top] = np.sqrt(resid @ weights)
 
 
 def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
@@ -302,7 +300,7 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
     """The tridiagonal bands of X = sin(kx) and of the deformed momentum
     P = k [cos(kx) p + (i hbar k / 2) sin(kx)] by quadrature with ``rule``,
     and the three-term defect of each column n <= N-2 of either, from one
-    basis table at the nodes (see `_tridiagonal_part`).
+    stream of `basis_blocks` at the nodes (see `_tridiagonal_block`).
 
     Both operators are tridiagonal on the exact tower, so the defects
     measure what quadrature puts off the band; no off-band entry is formed.
@@ -311,24 +309,31 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
 
         R psi = hbar k [ (k/2) sin(kx) psi - cos(kx) psi' ],
 
-    so the band is read from the real table of R psi, which is built in the
-    storage of psi'; the table of sin(kx) psi then reuses it, so no more
-    than two tables are alive after `basis_table`.  The cost is O(N Q).
+    so the band is read from the real images R psi, built in the storage of
+    the block's psi', which the images sin(kx) psi of X then reuse.  Each
+    block is reduced as it arrives, so no N x Q table is formed: the
+    scratch is a few blocks of (32 + 2) x Q, and the cost is O(N Q).
     Raises `QuadratureOrderError` when the Hermiticity defect of the P band
     or a P defect exceeds 1e-8 hbar k^2, the scale of P, which signals an
     inadequate rule.
     """
     _check_rule(params, n_basis, rule)
-    psi, image = basis_table(params, n_basis, rule.nodes)
     s = np.sin(params.k * rule.nodes)
     c = np.cos(params.k * rule.nodes)
     hbar, k = params.hbar, params.k
     deriv_factor = -hbar * k * c
     value_factor = 0.5 * hbar * k**2 * s
-    for lo, hi in _row_blocks(n_basis):
-        image[lo:hi] *= deriv_factor
-        image[lo:hi] += value_factor * psi[lo:hi]
-    r_band, p_defect = _tridiagonal_part(psi, rule.weights, image)
+    weights = rule.weights
+    x_band, r_band = ({p: np.empty(n_basis - abs(p)) for p in (-1, 0, 1)} for _ in range(2))
+    x_defect, p_defect = np.empty(n_basis - 1), np.empty(n_basis - 1)
+    for lo, hi, psi, image in basis_blocks(params, n_basis, s, c):
+        own = slice(lo - max(lo - 1, 0), None)  # the levels lo .. top of the window
+        image = image[own]
+        image *= deriv_factor
+        image += value_factor * psi[own]
+        _tridiagonal_block(psi, weights, image, lo, hi, r_band, p_defect)
+        np.multiply(psi[own], s, out=image)
+        _tridiagonal_block(psi, weights, image, lo, hi, x_band, x_defect)
     p_op = OperatorMatrix({p: 1j * v for p, v in r_band.items()}, n_basis)
     resid = max(p_op.hermiticity_residual(), float(np.max(p_defect)))
     scale = hbar * k**2
@@ -337,8 +342,6 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
             f"momentum matrix fails Hermiticity at {resid:.3e} ({resid / scale:.3e} of "
             f"hbar k^2); increase the quadrature order"
         )
-    np.multiply(psi, s, out=image)
-    x_band, x_defect = _tridiagonal_part(psi, rule.weights, image)
     return OperatorMatrix(x_band, n_basis), p_op, x_defect, p_defect
 
 

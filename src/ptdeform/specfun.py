@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "gegenbauer_row",
+    "gegenbauer_fill",
     "gauss_legendre",
 ]
 
@@ -42,14 +43,9 @@ class QuadratureRule:
 
 
 def gegenbauer_row(n_max: int, nu: float, x):
-    """Values ``[C_0^(nu)(x), ..., C_{n_max}^(nu)(x)]`` at ``x``.
-
-    Uses the three-term recurrence
-
-        n C_n = 2 (n + nu - 1) x C_{n-1} - (n + 2 nu - 2) C_{n-2}
-
-    with C_0 = 1 and C_1 = 2 nu x.  ``x`` may be a scalar or an array;
-    the leading axis of the result indexes the polynomial order.
+    """Values ``[C_0^(nu)(x), ..., C_{n_max}^(nu)(x)]`` at ``x``, by
+    `gegenbauer_fill`.  ``x`` may be a scalar or an array; the leading
+    axis of the result indexes the polynomial order.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -57,12 +53,37 @@ def gegenbauer_row(n_max: int, nu: float, x):
         raise ValueError(f"gegenbauer_row requires nu > 0, got {nu}")
     xa = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1,) + xa.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 2.0 * nu * xa
-    for n in range(2, n_max + 1):
-        out[n] = (2.0 * (n + nu - 1.0) * xa * out[n - 1] - (n + 2.0 * nu - 2.0) * out[n - 2]) / n
+    flat = xa.reshape(-1)
+    gegenbauer_fill(out.reshape(n_max + 1, flat.size), 0, nu, flat, np.empty_like(flat))
     return out
+
+
+def gegenbauer_fill(rows: np.ndarray, n0: int, nu: float, x: np.ndarray,
+                    scratch: np.ndarray) -> None:
+    """Fill ``rows[j]`` with C_{n0+j}^(nu)(x) in place, by the three-term
+    recurrence
+
+        n C_n = 2 (n + nu - 1) x C_{n-1} - (n + 2 nu - 2) C_{n-2},
+
+    evaluated as ((2 (n + nu - 1) x) C_{n-1} - (n + 2 nu - 2) C_{n-2}) / n.
+    For n0 = 0 the recurrence starts from C_0 = 1 and C_1 = 2 nu x; for
+    n0 > 0 it resumes from rows 0 and 1, which must already hold C_{n0}
+    and C_{n0+1}, so a tower can be built in stretches that carry their
+    last two rows over.  ``x`` is 1-d, each row has its shape, and
+    ``scratch`` is one more such row.
+    """
+    if n0 == 0:
+        rows[:1] = 1.0
+        if rows.shape[0] >= 2:
+            np.multiply(2.0 * nu, x, out=rows[1])
+    for j in range(2, rows.shape[0]):
+        n = n0 + j
+        row = rows[j]
+        np.multiply(2.0 * (n + nu - 1.0), x, out=row)
+        row *= rows[j - 1]
+        np.multiply(n + 2.0 * nu - 2.0, rows[j - 2], out=scratch)
+        row -= scratch
+        row /= n
 
 
 def gauss_legendre(q: int, a: float, b: float) -> QuadratureRule:

@@ -10,8 +10,9 @@ through its associated Legendre representation, the Ferrers function
 written through its Gegenbauer connection with one log-space constant.
 Derivatives follow from d/dX C_j^(nu) = 2 nu C_{j-1}^(nu+1), so pointwise
 residuals of differential identities probe only floating-point rounding.
-`basis_table` and `ladder_table` evaluate the lowest levels as row tables,
-with the ladder actions b psi_n = alpha_n psi_{n-1}, b+ psi_n = alpha_{n+1} psi_{n+1};
+`basis_blocks` streams psi and psi' of the lowest levels in 32-row blocks;
+`basis_table` stacks them into row tables, and `ladder_table` adds the
+ladder actions b psi_n = alpha_n psi_{n-1}, b+ psi_n = alpha_{n+1} psi_{n+1};
 `psi_form_tables` evaluates both closed forms from one Gegenbauer row table.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ModelParams, alpha
-from .specfun import QuadratureRule, gegenbauer_row
+from .specfun import QuadratureRule, gegenbauer_fill, gegenbauer_row
 
 __all__ = [
     "Eigenfunction",
@@ -32,6 +33,8 @@ __all__ = [
     "norm_n",
     "build_eigenfunction",
     "psi_value",
+    "BLOCK_ROWS",
+    "basis_blocks",
     "basis_table",
     "ladder_table",
     "psi_second_deriv_value",
@@ -161,42 +164,82 @@ def psi_value(ef: Eigenfunction, x):
     return _shape(c**ef.params.nu * _phi_at(ef, s), x)
 
 
-def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, np.ndarray]:
-    """psi_n and psi_n' for n = 0 .. n_basis-1 at the 1-d array ``nodes``,
-    one row per level:
+# Rows of the tower that `basis_blocks` builds per block.
+BLOCK_ROWS = 32
+
+
+def basis_blocks(params: ModelParams, n_basis: int, s: np.ndarray, c: np.ndarray):
+    """psi_n and psi_n' for n = 0 .. n_basis-1 at nodes x with s = sin(kx)
+    and c = cos(kx), yielded in blocks of `BLOCK_ROWS` levels as
+    ``(lo, hi, psi, dpsi)``:
 
         psi_n  = cos^nu(kx) phi_n(X),   phi_n = N_n C_n^(nu),   X = sin(kx),
         psi_n' = k cos^(nu-1)(kx) [ (1 - X^2) phi_n'(X) - nu X phi_n(X) ],
 
-    with N_n from `norm_tower` and phi_n' = 2 nu N_n C_{n-1}^(nu+1).  The whole
-    tower in two recurrence passes, one Gegenbauer row of index nu and one
-    of index nu+1, each scaled by the vector of N_n: O(n_basis * len(nodes))
-    in place of one recurrence per state.  The psi rows are the arithmetic
-    of `psi_value` on the states of `build_eigenfunction`, in the same
-    order, so they equal it entry by entry; the sign of a zero may differ
-    (at x = 0 the levels n = 3 mod 4 give -0.0 here and 0.0 there).
-
-    The products are taken in place, so no more than three tables are
-    alive at once (the two results and one Gegenbauer row).
+    with N_n from `norm_tower` and phi_n' = 2 nu N_n C_{n-1}^(nu+1).  The
+    rows of a block are the levels max(lo-1, 0) .. min(hi, n_basis-1): the
+    block's own levels lo .. hi-1 and one level on either side, the window
+    a three-term reduction of the block reads.  Each block resumes the two
+    Gegenbauer recurrences, of index nu and nu+1, from the last two rows of
+    the previous one, so the tower costs O(n_basis * len(s)) and the stream
+    holds O(BLOCK_ROWS * len(s)): the yielded arrays are overwritten by the
+    next block.  The psi rows are the arithmetic of `psi_value` on the
+    states of `build_eigenfunction`, in the same order, so they equal it
+    entry by entry; the sign of a zero may differ (at x = 0 the levels
+    n = 3 mod 4 give -0.0 here and 0.0 there).
     """
     if n_basis < 1:
         raise ValueError(f"basis size must be >= 1, got {n_basis}")
     nu = params.nu
-    s, c = _trig(params, nodes)
     norms = norm_tower(params, n_basis)
-    phi = gegenbauer_row(n_basis - 1, nu, s)
-    phi *= norms[:, None]
-    dphi = np.zeros_like(phi)
-    if n_basis >= 2:
-        dphi[1:] = gegenbauer_row(n_basis - 2, nu + 1.0, s)
-        dphi[1:] *= (norms[1:] * (2.0 * nu))[:, None]
-    psi = c**nu * phi
-    # dpsi = k c^(nu-1) ((1 - s^2) dphi - nu s phi), built in the storage of dphi
-    dphi *= 1.0 - s * s
-    phi *= nu * s
-    dphi -= phi
-    dphi *= params.k * c ** (nu - 1.0)
-    return psi, dphi
+    dnorms = norms * (2.0 * nu)
+    c_nu = c**nu
+    one_minus_s2 = 1.0 - s * s
+    nu_s = nu * s
+    k_c = params.k * c ** (nu - 1.0)
+    shape = (min(BLOCK_ROWS + 2, n_basis), s.size)
+    gegen, gegen1 = np.empty(shape), np.empty(shape)  # C_n^(nu), C_{n-1}^(nu+1) of row n
+    psi, phi, dpsi = np.empty(shape), np.empty(shape), np.empty(shape)
+    scratch = np.empty(s.size)
+    rows = 0
+    for lo in range(0, n_basis, BLOCK_ROWS):
+        if lo:  # carry levels lo-1 and lo, the last two rows of the previous block
+            gegen[:2] = gegen[rows - 2:rows]
+            gegen1[:2] = gegen1[rows - 2:rows]
+        else:
+            gegen1[0] = 0.0  # phi_0' = 0: level 0 has no C_{-1}^(nu+1)
+        hi = min(lo + BLOCK_ROWS, n_basis)
+        first = max(lo - 1, 0)
+        rows = min(hi + 1, n_basis) - first
+        lead = 0 if lo else 1  # the first block starts C^(nu+1) at row 1, level 1
+        gegenbauer_fill(gegen[:rows], first, nu, s, scratch)
+        gegenbauer_fill(gegen1[lead:rows], first - 1 + lead, nu + 1.0, s, scratch)
+        levels = slice(first, first + rows)
+        block_phi, block_psi, block_dpsi = phi[:rows], psi[:rows], dpsi[:rows]
+        np.multiply(gegen[:rows], norms[levels, None], out=block_phi)
+        np.multiply(gegen1[:rows], dnorms[levels, None], out=block_dpsi)
+        np.multiply(c_nu, block_phi, out=block_psi)
+        # dpsi = k c^(nu-1) ((1 - s^2) dphi - nu s phi), built in the storage of dphi
+        block_dpsi *= one_minus_s2
+        block_phi *= nu_s
+        block_dpsi -= block_phi
+        block_dpsi *= k_c
+        yield lo, hi, block_psi, block_dpsi
+
+
+def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """psi_n and psi_n' for n = 0 .. n_basis-1 at the 1-d array ``nodes``,
+    one row per level: the own levels of each block of `basis_blocks`,
+    stacked.  The two results are the only tables it allocates; the stream
+    beside them holds a few blocks of (32 + 2) x len(nodes)."""
+    s, c = _trig(params, nodes)
+    psi = np.empty((n_basis, s.size))
+    dpsi = np.empty_like(psi)
+    for lo, hi, block_psi, block_dpsi in basis_blocks(params, n_basis, s, c):
+        first = max(lo - 1, 0)  # the level of the block's row 0
+        psi[lo:hi] = block_psi[lo - first:hi - first]
+        dpsi[lo:hi] = block_dpsi[lo - first:hi - first]
+    return psi, dpsi
 
 
 def ladder_table(params: ModelParams, n_basis: int,

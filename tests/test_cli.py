@@ -477,7 +477,7 @@ def test_main_rejects_non_finite_input(argv, flag, capsys):
         # sizes whose tables or grid pass the memory budget, rejected before
         # anything is allocated
         (["wavefunctions", "--nu", "2", "--samples", "1000000000"], "--n-max and --samples"),
-        (["wavefunctions", "--nu", "2", "--n-max", "100000", "--samples", "1"],
+        (["wavefunctions", "--nu", "2", "--n-max", "100000", "--samples", "100"],
          "--n-max and --samples"),
         (["ladder", "--nu", "2", "--n-max", "1000000000"], "--n-max would need"),
         (["spectrum", "--nu", "2", "--n-max", "1000000000"], "--n-max would need"),
@@ -531,6 +531,16 @@ def test_memory_budget_bounds_the_sizes():
     cli._check_memory("--n-max", MEMORY_BUDGET_BYTES // 300, 300)
     with pytest.raises(ValueError, match="--n-max would need"):
         cli._check_memory("--n-max", MEMORY_BUDGET_BYTES // 300 + 1, 300)
+
+
+def test_main_sizes_wavefunctions_by_its_table(capsys):
+    # the cap counts the cells of the table the command keeps, O(n_max *
+    # samples): 3001 levels at one sample run
+    assert main(["wavefunctions", "--nu", "2", "--n-max", "3000", "--samples", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = json.loads(captured.out)["rows"]
+    assert len(rows) == 1 and len(rows[0]) == 1 + 3 * 3001
 
 
 def test_main_runs_the_legendre_form_at_large_nu(capsys):

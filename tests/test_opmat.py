@@ -326,37 +326,131 @@ def test_defects_dominate_the_dense_off_band_content(n_basis, nu):
     assert float(np.max(ops.p_defect[:keep])) >= p_off
 
 
+def _whole_table_gegenbauer(n_max, nu, x):
+    """C_0^(nu) .. C_{n_max}^(nu) at x as one (n_max+1) x Q table, in the
+    arithmetic of the recurrence: ((2 (n + nu - 1) x) C_{n-1} - (n + 2 nu - 2) C_{n-2}) / n."""
+    out = np.empty((n_max + 1, x.size))
+    out[0] = 1.0
+    if n_max >= 1:
+        out[1] = 2.0 * nu * x
+    for n in range(2, n_max + 1):
+        out[n] = (2.0 * (n + nu - 1.0) * x * out[n - 1] - (n + 2.0 * nu - 2.0) * out[n - 2]) / n
+    return out
+
+
+def _whole_table_basis(params, n_basis, nodes):
+    """psi and psi' as two N x Q tables, each family in one recurrence
+    pass: the whole-table route, in the arithmetic of `basis_blocks`."""
+    nu = params.nu
+    s = np.sin(params.k * nodes)
+    c = np.cos(params.k * nodes)
+    norms = wavefun.norm_tower(params, n_basis)
+    phi = _whole_table_gegenbauer(n_basis - 1, nu, s)
+    phi *= norms[:, None]
+    dphi = np.zeros_like(phi)
+    if n_basis >= 2:
+        dphi[1:] = _whole_table_gegenbauer(n_basis - 2, nu + 1.0, s)
+        dphi[1:] *= (norms[1:] * (2.0 * nu))[:, None]
+    psi = c**nu * phi
+    dphi *= 1.0 - s * s
+    phi *= nu * s
+    dphi -= phi
+    dphi *= params.k * c ** (nu - 1.0)
+    return psi, dphi
+
+
+def _whole_table_band(psi, weights, image):
+    """The band and defects of `_tridiagonal_block`, read from whole N x Q
+    tables in the same 32-row blocks."""
+    n = psi.shape[0]
+    diag, upper, lower = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    defect = np.empty(n - 1)
+    for lo in range(0, n, 32):
+        hi = min(lo + 32, n)
+        top = min(hi, n - 1)
+        wpsi = psi[lo:top + 1] * weights
+        diag[lo:hi] = np.einsum("ij,ij->i", wpsi[:hi - lo], image[lo:hi])
+        upper[lo:top] = np.einsum("ij,ij->i", wpsi[:top - lo], image[lo + 1:top + 1])
+        lower[lo:top] = np.einsum("ij,ij->i", wpsi[1:], image[lo:top])
+        resid = image[lo:top] - diag[lo:top, None] * psi[lo:top]
+        resid -= lower[lo:top, None] * psi[lo + 1:top + 1]
+        first = max(lo, 1)
+        resid[first - lo:] -= upper[first - 1:top - 1, None] * psi[first - 1:top - 1]
+        resid *= resid
+        defect[lo:top] = np.sqrt(resid @ weights)
+    return {-1: lower, 0: diag, 1: upper}, defect
+
+
+STREAM_SIZES = [8, 31, 32, 33, 34, 64, 65, 97, 480]
+
+
+@pytest.mark.parametrize(
+    "n_basis, params",
+    [(n, ModelParams(nu=nu)) for n in STREAM_SIZES for nu in (1.0, 1.294678, 3.7, 49.9)]
+    + [(65, ModelParams(nu=3.7, hbar=1.3, mass=0.7, k=2.1))],
+    ids=[f"{n}-{nu}" for n in STREAM_SIZES for nu in (1.0, 1.294678, 3.7, 49.9)] + ["65-units"],
+)
+def test_streamed_quadrature_is_the_whole_table_route(n_basis, params):
+    # the block stream against whole N x Q tables, bit for bit, across the
+    # block edges: each window of `basis_blocks` holds the table rows
+    # max(lo-1, 0) .. min(hi, N-1), `basis_table` is their stack, and the
+    # bands and defects of `quadrature_XP` are those of the whole tables
+    rule = _rule(params, n_basis)
+    psi, dpsi = _whole_table_basis(params, n_basis, rule.nodes)
+    s, c = np.sin(params.k * rule.nodes), np.cos(params.k * rule.nodes)
+    for lo, hi, block_psi, block_dpsi in wavefun.basis_blocks(params, n_basis, s, c):
+        window = slice(max(lo - 1, 0), min(hi, n_basis - 1) + 1)
+        assert np.array_equal(block_psi, psi[window])
+        assert np.array_equal(block_dpsi, dpsi[window])
+    stacked = basis_table(params, n_basis, rule.nodes)
+    assert np.array_equal(stacked[0], psi) and np.array_equal(stacked[1], dpsi)
+    x_image, r_image = _images(params, psi, dpsi, rule.nodes)
+    x_band, x_defect = _whole_table_band(psi, rule.weights, x_image)
+    r_band, p_defect = _whole_table_band(psi, rule.weights, r_image)
+    x_op, p_op, got_x_defect, got_p_defect = quadrature_XP(params, n_basis, rule)
+    for off in (-1, 0, 1):
+        assert np.array_equal(x_op.diagonals[off], x_band[off])
+        assert np.array_equal(p_op.diagonals[off], 1j * r_band[off])
+    assert np.array_equal(got_x_defect, x_defect)
+    assert np.array_equal(got_p_defect, p_defect)
+
+
 def test_quadrature_builders_hold_few_tables():
-    # A table is one real N x Q array of the basis.  `basis_table` holds
-    # three at its peak; after it, the bands and defects of X and P take
-    # block-sized temporaries and reuse the storage of psi', so no complex
-    # table and no N x N array (0.49 of a table at N = 1500) fits under
-    # these bounds.  Measured: 3.08 tables at N = 240, 3.00 at N = 1500.
+    # A table is one real N x Q array of the basis; a block buffer is one
+    # (32 + 2) x Q window of `basis_blocks`.  `quadrature_XP` reduces each
+    # block as it arrives, so its peak is a fixed number of block buffers
+    # at every N (measured 8.7 at N = 240, 8.3 at N = 1500) and a small
+    # share of a table (0.19 at N = 1500).  One more N x Q array, 7.1
+    # block buffers at N = 240, does not fit under these bounds.
     params = ModelParams(nu=3.7)
-    for n_basis, bound in ((240, 3.5), (1500, 3.2)):
+    for n_basis in (240, 1500):
         rule = gauss_legendre(2 * n_basis + 60, *params.box)
         table = n_basis * rule.nodes.size * 8
+        block = (32 + 2) * rule.nodes.size * 8
         tracemalloc.start()
         try:
             quadrature_XP(params, n_basis, rule)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound * table
+        assert peak < 12 * block
+        if n_basis == 1500:
+            assert peak < 0.5 * table
 
 
 def _count_basis_tables(monkeypatch) -> list[int]:
-    """The basis size of every `basis_table` call made through opmat's or
-    wavefun's name for it, from here on."""
+    """The basis size of every `basis_blocks` stream started through opmat's
+    or wavefun's name for it, from here on: `basis_table` stacks one stream,
+    and `quadrature_XP` reduces one."""
     calls = []
-    original = wavefun.basis_table
+    original = wavefun.basis_blocks
 
-    def counted(params, n_basis, nodes):
+    def counted(params, n_basis, s, c):
         calls.append(n_basis)
-        return original(params, n_basis, nodes)
+        return original(params, n_basis, s, c)
 
     for module in (opmat, wavefun):
-        monkeypatch.setattr(module, "basis_table", counted)
+        monkeypatch.setattr(module, "basis_blocks", counted)
     return calls
 
 
@@ -467,15 +561,16 @@ LEAK = 1e-9
 
 def _leaky(kernel, which, leak=LEAK):
     """``kernel`` with ``leak`` psi_5 added to the image of psi_0 in its
-    ``which``-th call: 0 is P/i, 1 is X."""
+    ``which``-th call on the first block: 0 is P/i, 1 is X."""
     calls = []
 
-    def leaky_kernel(psi, weights, image):
-        if len(calls) == which:
-            image = image.copy()
-            image[0] += leak * psi[5]
-        calls.append(which)
-        return kernel(psi, weights, image)
+    def leaky_kernel(psi, weights, image, lo, hi, band, defect):
+        if lo == 0:
+            if len(calls) == which:
+                image = image.copy()
+                image[0] += leak * psi[5]
+            calls.append(which)
+        return kernel(psi, weights, image, lo, hi, band, defect)
     return leaky_kernel
 
 
@@ -490,7 +585,7 @@ def test_off_band_quadrature_content_is_reported(monkeypatch, which, relations):
     # quadrature would put off the band shows in the defects, so the
     # structure relations still report it
     clean = {r.name: r.residual for r in run_verification(RunConfig(nu=2.0)).relations}
-    monkeypatch.setattr(opmat, "_tridiagonal_part", _leaky(opmat._tridiagonal_part, which))
+    monkeypatch.setattr(opmat, "_tridiagonal_block", _leaky(opmat._tridiagonal_block, which))
     leaked = {r.name: r.residual for r in run_verification(RunConfig(nu=2.0)).relations}
     for name in relations:
         assert clean[name] < 1e-3 * LEAK
@@ -499,7 +594,7 @@ def test_off_band_quadrature_content_is_reported(monkeypatch, which, relations):
 
 def test_off_band_p_content_above_its_scale_raises(monkeypatch):
     # the Hermiticity guard of the P band reads the P defects too
-    monkeypatch.setattr(opmat, "_tridiagonal_part", _leaky(opmat._tridiagonal_part, 0, 1e-6))
+    monkeypatch.setattr(opmat, "_tridiagonal_block", _leaky(opmat._tridiagonal_block, 0, 1e-6))
     params = ModelParams(nu=2.0)
     with pytest.raises(QuadratureOrderError, match="Hermiticity"):
         quadrature_XP(params, N, gauss_legendre(2 * N + 60, *params.box))
