@@ -65,6 +65,7 @@ from .specfun import gauss_legendre
 from .wavefun import (
     build_eigenfunction,
     chebyshev_points,
+    ladder_climb,
     ladder_table,
     psi_form_tables,
     psi_second_deriv_value,
@@ -300,8 +301,8 @@ class VerificationReport:
 
 
 def _versions() -> dict:
-    # imported here: scipy adds to the start-up of every command, and only
-    # verify, which loads scipy.linalg for the grid oracle anyway, reports it
+    # imported here: only verify reports scipy's version; the bare package
+    # loads no scipy.linalg but still adds to the start-up of every command
     import scipy
 
     return {
@@ -408,9 +409,8 @@ def run_verification(config: RunConfig) -> VerificationReport:
     n_ladder = min(25, n_basis - 1)
     efs = [build_eigenfunction(params, n) for n in range(max(11, n_ladder + 1))]
     ladder_resid = 0.0
-    for n in range(n_ladder + 1):
+    for n, ladder in enumerate(ladder_climb(params, n_ladder)):
         coeffs = np.asarray(efs[n].basis_coeffs)
-        ladder = np.asarray(build_eigenfunction(params, n, "ladder").basis_coeffs)
         scale = float(np.max(np.abs(coeffs)))
         ladder_resid = max(ladder_resid, float(np.max(np.abs(ladder - coeffs))) / scale)
     checks.append(("ladder_vs_closed_form", ladder_resid))

@@ -39,7 +39,7 @@ from .algebra import (
     f_of,
     h_of,
 )
-from .specfun import QuadratureRule
+from .specfun import QuadratureRule, tridiagonal_lowest
 from .wavefun import basis_blocks, ladder_table
 
 __all__ = [
@@ -262,8 +262,9 @@ def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None
         raise ValueError(f"quadrature interval {rule.interval} does not match the box ({a}, {b})")
 
 
-def _tridiagonal_block(psi: np.ndarray, weights: np.ndarray, image: np.ndarray, lo: int,
-                       hi: int, band: dict[int, np.ndarray], defect: np.ndarray) -> None:
+def _tridiagonal_block(psi: np.ndarray, wpsi: np.ndarray, weights: np.ndarray,
+                       image: np.ndarray, lo: int, hi: int, band: dict[int, np.ndarray],
+                       defect: np.ndarray) -> None:
     """Columns lo .. hi-1 of the tridiagonal band of the real operator T,
     T_mn = sum_q w_q psi_m T psi_n, and the three-term defect of each of
     them up to column N-2,
@@ -272,8 +273,9 @@ def _tridiagonal_block(psi: np.ndarray, weights: np.ndarray, image: np.ndarray, 
 
     written into ``band`` (offsets -1, 0, 1) and ``defect``.  ``psi`` holds
     the levels max(lo-1, 0) .. top, top = min(hi, N-1), the window of a
-    `basis_blocks` block, and ``image`` the images T psi_n of the levels
-    lo .. top; T_{lo-1,lo} must already be in ``band``.
+    `basis_blocks` block, ``wpsi`` the levels lo .. top of it times
+    ``weights``, and ``image`` the images T psi_n of the levels lo .. top;
+    T_{lo-1,lo} must already be in ``band``.
 
     T_{n,n+1} and T_{n+1,n} are separate sums, so their difference measures
     Hermiticity.  The defect vanishes exactly when T psi_n lies in the span
@@ -283,7 +285,6 @@ def _tridiagonal_block(psi: np.ndarray, weights: np.ndarray, image: np.ndarray, 
     diag, upper, lower = band[0], band[1], band[-1]
     top = min(hi, diag.size - 1)  # the rows that couple to a next row
     own = psi[lo - max(lo - 1, 0):]  # levels lo .. top
-    wpsi = own * weights
     diag[lo:hi] = np.einsum("ij,ij->i", wpsi[:hi - lo], image[:hi - lo])
     upper[lo:top] = np.einsum("ij,ij->i", wpsi[:top - lo], image[1:])
     lower[lo:top] = np.einsum("ij,ij->i", wpsi[1:], image[:top - lo])
@@ -328,12 +329,13 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
     x_defect, p_defect = np.empty(n_basis - 1), np.empty(n_basis - 1)
     for lo, hi, psi, image in basis_blocks(params, n_basis, s, c):
         own = slice(lo - max(lo - 1, 0), None)  # the levels lo .. top of the window
+        wpsi = psi[own] * weights  # shared by the R and X sums
         image = image[own]
         image *= deriv_factor
         image += value_factor * psi[own]
-        _tridiagonal_block(psi, weights, image, lo, hi, r_band, p_defect)
+        _tridiagonal_block(psi, wpsi, weights, image, lo, hi, r_band, p_defect)
         np.multiply(psi[own], s, out=image)
-        _tridiagonal_block(psi, weights, image, lo, hi, x_band, x_defect)
+        _tridiagonal_block(psi, wpsi, weights, image, lo, hi, x_band, x_defect)
     p_op = OperatorMatrix({p: 1j * v for p, v in r_band.items()}, n_basis)
     resid = max(p_op.hermiticity_residual(), float(np.max(p_defect)))
     scale = hbar * k**2
@@ -606,10 +608,6 @@ def build_grid_hamiltonian(params: ModelParams, m_points: int) -> GridOperator:
 
 def grid_spectrum(params: ModelParams, m_points: int, n_levels: int) -> np.ndarray:
     """Lowest n_levels eigenvalues of the grid Hamiltonian, increasing."""
-    # imported here: scipy.linalg adds about 0.3 s and 27 MB to start-up,
-    # and only the grid oracle needs it
-    from scipy.linalg import eigh_tridiagonal
-
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     if n_levels > m_points:
@@ -618,8 +616,6 @@ def grid_spectrum(params: ModelParams, m_points: int, n_levels: int) -> np.ndarr
     # in units of eps the entries depend on nu and the grid size only, not
     # on hbar, m and k, so LAPACK's bisection never sees their squares overflow
     eps = params.epsilon
-    vals = eigh_tridiagonal(
-        grid.diag / eps, grid.offdiag / eps, eigvals_only=True, select="i",
-        select_range=(0, n_levels - 1),
-    )
-    return np.asarray(vals) * eps
+    # dstebz from the OpenBLAS numpy has loaded: reaching it through
+    # scipy.linalg doubled the start-up of verify and spectrum
+    return tridiagonal_lowest(grid.diag / eps, grid.offdiag / eps, n_levels) * eps

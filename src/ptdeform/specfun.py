@@ -1,13 +1,15 @@
 """Special-function and quadrature primitives.
 
 Everything in this module is pure numerics with no model parameters:
-Gegenbauer polynomial values by three-term recurrence, and Gauss-Legendre
-rules with Newton-refined nodes.
+Gegenbauer polynomial values by three-term recurrence, Gauss-Legendre
+rules with Newton-refined nodes, and the lowest eigenvalues of a symmetric
+tridiagonal matrix by LAPACK's bisection.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,7 @@ __all__ = [
     "gegenbauer_row",
     "gegenbauer_fill",
     "gauss_legendre",
+    "tridiagonal_lowest",
 ]
 
 
@@ -139,3 +142,63 @@ def _legendre_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     w.flags.writeable = False
     return z, w
 
+
+def tridiagonal_lowest(diag, offdiag, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvalues, increasing, of the symmetric
+    tridiagonal matrix with diagonal ``diag`` and off-diagonal ``offdiag``.
+
+    One call of LAPACK's bisection dstebz with range 'I', order 'E' and
+    abstol 0, the call `scipy.linalg.eigh_tridiagonal` makes for
+    ``select="i"``.  It runs from the OpenBLAS that numpy already loads,
+    through its C entry point; only where numpy ships no such library
+    (Accelerate, MKL, Windows builds) does it go through scipy, whose
+    import costs more than the bisection.  Raises
+    `numpy.linalg.LinAlgError` when LAPACK reports failure.
+    """
+    d = np.ascontiguousarray(diag, dtype=np.float64)
+    e = np.ascontiguousarray(offdiag, dtype=np.float64)
+    n = d.size
+    if d.ndim != 1 or e.shape != (n - 1,):
+        raise ValueError(f"need n diagonal and n-1 off-diagonal entries, got {d.shape} and "
+                         f"{e.shape}")
+    if not 1 <= count <= n:
+        raise ValueError(f"count must lie in [1, {n}], got {count}")
+    stebz = _lapacke_dstebz()
+    if stebz is None:
+        from scipy.linalg import eigh_tridiagonal
+
+        return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, count - 1))
+    found, nsplit = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    w = np.empty(n)
+    iblock, isplit = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    info = stebz(b"I", b"E", n, 0.0, 0.0, 1, count, 0.0, d, e, found, nsplit, w, iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz failed with info = {info}")
+    return w[:found[0]]
+
+
+@functools.cache
+def _lapacke_dstebz():
+    """``scipy_LAPACKE_dstebz64_`` of numpy's bundled OpenBLAS (64-bit
+    integers), with its full signature declared, or None where numpy ships
+    no such library or symbol.  The array arguments are checked by dtype,
+    rank and flags, so a wrong array raises `ctypes.ArgumentError` instead
+    of reaching LAPACK.  LAPACKE_dstebz takes no matrix-layout argument."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        fn = getattr(ctypes.CDLL(path), "scipy_LAPACKE_dstebz64_", None)
+        if fn is None:
+            continue
+        i64, f64 = ctypes.c_int64, ctypes.c_double
+        given = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+        out_f64, out_i64 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+                            for t in (np.float64, np.int64))
+        # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit
+        fn.argtypes = [ctypes.c_char, ctypes.c_char, i64, f64, f64, i64, i64, f64,
+                       given, given, out_i64, out_i64, out_f64, out_i64, out_i64]
+        fn.restype = i64
+        return fn
+    return None

@@ -31,6 +31,7 @@ __all__ = [
     "norm0",
     "norm_tower",
     "norm_n",
+    "ladder_climb",
     "build_eigenfunction",
     "psi_value",
     "BLOCK_ROWS",
@@ -105,6 +106,20 @@ def _ladder_step_basis(d: np.ndarray, j: int, nu: float) -> np.ndarray:
     return out
 
 
+def ladder_climb(params: ModelParams, n_top: int):
+    """The Gegenbauer coefficients of psi_0, psi_1, ..., psi_{n_top}, each
+    yielded as the climb from the ground state reaches it: the raising step
+    from level j, divided by alpha_{j+1}, gives level j+1.  One climb serves
+    every level on the way; `build_eigenfunction`'s ladder route reads it."""
+    nu = params.nu
+    basis = np.array([norm0(params)])
+    yield basis
+    for j in range(n_top):
+        scale = (j + nu + 1.0) / ((j + nu) * alpha(params, j + 1))
+        basis = scale * _ladder_step_basis(basis, j, nu)
+        yield basis
+
+
 def build_eigenfunction(params: ModelParams, n: int, method: str = "closed_form") -> Eigenfunction:
     """Construct psi_n, either from the closed Gegenbauer form or by
     climbing from the ground state with the raising step.
@@ -115,15 +130,12 @@ def build_eigenfunction(params: ModelParams, n: int, method: str = "closed_form"
     """
     if n < 0:
         raise ValueError(f"level index must be >= 0, got {n}")
-    nu = params.nu
     if method == "closed_form":
         basis = np.zeros(n + 1)
         basis[n] = norm_n(params, n)
     elif method == "ladder":
-        basis = np.array([norm0(params)])
-        for j in range(n):
-            scale = (j + nu + 1.0) / ((j + nu) * alpha(params, j + 1))
-            basis = scale * _ladder_step_basis(basis, j, nu)
+        for basis in ladder_climb(params, n):
+            pass
     else:
         raise ValueError(f"unknown construction method {method!r}")
     return Eigenfunction(params=params, basis_coeffs=tuple(basis))
@@ -232,7 +244,12 @@ def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, n
     one row per level: the own levels of each block of `basis_blocks`,
     stacked.  The two results are the only tables it allocates; the stream
     beside them holds a few blocks of (32 + 2) x len(nodes)."""
-    s, c = _trig(params, nodes)
+    return _stacked_blocks(params, n_basis, *_trig(params, nodes))
+
+
+def _stacked_blocks(params: ModelParams, n_basis: int, s: np.ndarray,
+                    c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`basis_table` at the nodes with s = sin(kx) and c = cos(kx)."""
     psi = np.empty((n_basis, s.size))
     dpsi = np.empty_like(psi)
     for lo, hi, block_psi, block_dpsi in basis_blocks(params, n_basis, s, c):
@@ -255,8 +272,8 @@ def ladder_table(params: ModelParams, n_basis: int,
     the differential forms of b and b+ in position space, as row
     expressions on one `basis_table`.  The identities hold up to rounding.
     """
-    psi, dpsi = basis_table(params, n_basis, nodes)
     s, c = _trig(params, nodes)
+    psi, dpsi = _stacked_blocks(params, n_basis, s, c)
     m = (np.arange(n_basis) + params.nu)[:, None]
     lower = (1.0 / params.k) * c * dpsi + m * s * psi
     upper = (m + 1.0) / m * (-(1.0 / params.k) * c * dpsi + m * s * psi)

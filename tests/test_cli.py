@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import ptdeform
-from ptdeform import cli, opmat, wavefun
+from ptdeform import cli, opmat, specfun, wavefun
 from ptdeform.algebra import ModelParams
 from ptdeform.cli import (
     MEMORY_BUDGET_BYTES,
@@ -566,16 +566,47 @@ def test_config_rejects_units_out_of_range_at_the_top_of_the_tower():
         RunConfig(nu=2.0, hbar=1e76, basis_size=200)
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy is imported only where it is used: the grid oracle and the
-    # version echo of verify
+def _python_with_src(code: str) -> str:
+    """The stdout of ``code`` run by a fresh interpreter that imports this ptdeform."""
     src = str(Path(ptdeform.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, ptdeform.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is imported only where it is used: the version echo of verify,
+    # and the grid oracle where numpy ships no LAPACKE dstebz
+    code = ("import sys, ptdeform.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _python_with_src(code) == "[]"
+
+
+def test_verify_and_spectrum_leave_scipy_linalg_unloaded():
+    # the grid oracle calls dstebz in the OpenBLAS numpy has loaded; importing
+    # scipy.linalg for it doubled the start-up of both commands
+    if specfun._lapacke_dstebz() is None:
+        pytest.skip("numpy ships no LAPACKE dstebz here; the grid runs through scipy.linalg")
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from ptdeform.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [main(['verify', '--nu', '2']),",
+        "             main(['spectrum', '--nu', '1.5', '--n-max', '5'])]",
+        "print(codes, 'scipy.linalg' in sys.modules)",
+    ])
+    assert _python_with_src(code) == "[0, 0] False"
+
+
+def test_main_reports_a_lapack_failure_in_one_line(monkeypatch, capsys):
+    # a nonzero info from dstebz is a LinAlgError, a ValueError: exit 1
+    monkeypatch.setattr(specfun, "_lapacke_dstebz", lambda: lambda *args: 1)
+    assert main(["spectrum", "--nu", "2"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ptdeform: error:")
+    assert "dstebz" in err[0] and captured.out == ""
 
 
 def test_main_momentum_hermiticity_check_scales_with_units(capsys):

@@ -20,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ptdeform import cli, opmat, wavefun
+from ptdeform import cli, opmat, specfun, wavefun
 from ptdeform.algebra import ModelParams, alpha, energy, f_of, f_of_uncorrected
 from ptdeform.cli import RunConfig, run_verification
 from ptdeform.opmat import (
@@ -564,13 +564,13 @@ def _leaky(kernel, which, leak=LEAK):
     ``which``-th call on the first block: 0 is P/i, 1 is X."""
     calls = []
 
-    def leaky_kernel(psi, weights, image, lo, hi, band, defect):
+    def leaky_kernel(psi, wpsi, weights, image, lo, hi, band, defect):
         if lo == 0:
             if len(calls) == which:
                 image = image.copy()
                 image[0] += leak * psi[5]
             calls.append(which)
-        return kernel(psi, weights, image, lo, hi, band, defect)
+        return kernel(psi, wpsi, weights, image, lo, hi, band, defect)
     return leaky_kernel
 
 
@@ -889,6 +889,42 @@ def test_grid_spectrum_is_solved_in_units_of_eps(nu):
     # grid's entries are ~1e156
     big = ModelParams(nu=nu, hbar=1e75)
     np.testing.assert_allclose(grid_spectrum(big, 4000, 6) / big.epsilon, direct, rtol=1e-12)
+
+
+GRID_NUS = [*np.linspace(1.0, 50.0, 97).tolist(), 1.294678, 150.0, 300.0, 2000.0]
+GRID_UNITS = [{"hbar": 1.3, "mass": 0.7, "k": 2.1}, {"k": 1000.0}, {"hbar": 1e40}]
+GRID_SHAPES = [(m, levels) for m in (200, 999, 2000, 4000) for levels in (3, 6, 51)]
+# every strength at unit units, each at the next grid shape in turn, and
+# four shapes at six strengths in each set of non-unit units
+GRID_CASES = [({}, nu, *GRID_SHAPES[i % len(GRID_SHAPES)]) for i, nu in enumerate(GRID_NUS)]
+GRID_CASES += [(units, nu, m, levels) for units in GRID_UNITS
+               for nu in (1.0, 1.294678, 3.7, 49.9, 300.0, 2000.0)
+               for m, levels in ((200, 51), (999, 3), (2000, 6), (4000, 6))]
+
+
+def _grid_spectrum_by_scipy(params, m_points, n_levels):
+    """The grid spectrum through `scipy.linalg.eigh_tridiagonal`, in units of eps."""
+    from scipy.linalg import eigh_tridiagonal
+
+    g = build_grid_hamiltonian(params, m_points)
+    eps = params.epsilon
+    return eigh_tridiagonal(g.diag / eps, g.offdiag / eps, eigvals_only=True, select="i",
+                            select_range=(0, n_levels - 1)) * eps
+
+
+@pytest.mark.parametrize("route", ["lapacke", "fallback"])
+def test_grid_spectrum_matches_eigh_tridiagonal_bit_for_bit(monkeypatch, route):
+    # numpy's own LAPACKE dstebz and scipy's are the same bisection; where
+    # numpy ships none, the fallback is scipy's call itself
+    cases = GRID_CASES
+    if route == "fallback":
+        monkeypatch.setattr(specfun, "_lapacke_dstebz", lambda: None)
+        cases = GRID_CASES[::7]
+    for units, nu, m_points, n_levels in cases:
+        params = ModelParams(nu=nu, **units)
+        assert np.array_equal(grid_spectrum(params, m_points, n_levels),
+                              _grid_spectrum_by_scipy(params, m_points, n_levels)), \
+            (units, nu, m_points, n_levels)
 
 
 def test_grid_second_order_convergence():

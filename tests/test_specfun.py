@@ -1,6 +1,8 @@
 """Numerics primitives against independent references: scipy.special and
-numpy.polynomial for Gegenbauer values and Gauss-Legendre rules."""
+numpy.polynomial for Gegenbauer values and Gauss-Legendre rules, and
+scipy.linalg for the tridiagonal eigenvalues."""
 
+import ctypes
 import math
 
 import numpy as np
@@ -8,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_gegenbauer
 
+from ptdeform import specfun
 from ptdeform.specfun import (
     QuadratureRule,
     gauss_legendre,
     gegenbauer_row,
+    tridiagonal_lowest,
     _legendre_rule,
 )
 
@@ -116,3 +121,81 @@ def test_gauss_legendre_validation():
     with pytest.raises(ValueError):
         gauss_legendre(5, 1.0, 1.0)
 
+
+
+# ---------------------------------------------------------------------------
+# lowest eigenvalues of a symmetric tridiagonal matrix
+
+
+def _lowest_by_scipy(d, e, count):
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, count - 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200, 999])
+def test_tridiagonal_lowest_matches_eigh_tridiagonal(n):
+    # the same LAPACK call, dstebz with range 'I', order 'E' and abstol 0,
+    # so the same bits
+    rng = np.random.default_rng(n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    for count in sorted({1, min(3, n), n}):
+        lowest = tridiagonal_lowest(d, e, count)
+        assert lowest.shape == (count,)
+        assert np.array_equal(lowest, _lowest_by_scipy(d, e, count))
+
+
+def test_tridiagonal_lowest_falls_back_to_scipy(monkeypatch):
+    # where numpy ships no LAPACKE dstebz the call goes through scipy.linalg,
+    # with the same bits
+    import scipy.linalg
+
+    rng = np.random.default_rng(3)
+    d, e = rng.standard_normal(300), rng.standard_normal(299)
+    direct = tridiagonal_lowest(d, e, 6)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["select_range"])
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_lapacke_dstebz", lambda: None)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    assert np.array_equal(tridiagonal_lowest(d, e, 6), direct)
+    assert calls == [(0, 5)]
+
+
+def test_tridiagonal_lowest_raises_on_lapack_failure(monkeypatch):
+    monkeypatch.setattr(specfun, "_lapacke_dstebz", lambda: lambda *args: 2)
+    with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
+        tridiagonal_lowest(np.ones(3), np.ones(2), 1)
+
+
+def test_tridiagonal_lowest_validation():
+    with pytest.raises(ValueError):
+        tridiagonal_lowest(np.ones(3), np.ones(3), 1)
+    with pytest.raises(ValueError):
+        tridiagonal_lowest(np.ones((2, 2)), np.ones(1), 1)
+    with pytest.raises(ValueError):
+        tridiagonal_lowest(np.ones(3), np.ones(2), 0)
+    with pytest.raises(ValueError):
+        tridiagonal_lowest(np.ones(3), np.ones(2), 4)
+
+
+def test_lapacke_binding_checks_its_arrays():
+    # the declared signature stops a wrong array before it reaches LAPACK
+    stebz = specfun._lapacke_dstebz()
+    if stebz is None:
+        pytest.skip("numpy ships no LAPACKE dstebz here")
+    n = 3
+    d, e, w = np.ones(n), np.ones(n - 1), np.empty(n)
+    m, nsplit, iblock, isplit = (np.zeros(size, dtype=np.int64) for size in (1, 1, n, n))
+    assert stebz(b"I", b"E", n, 0.0, 0.0, 1, n, 0.0, d, e, m, nsplit, w, iblock, isplit) == 0
+    assert m[0] == n and np.array_equal(w, _lowest_by_scipy(d, e, n))
+    with pytest.raises(ctypes.ArgumentError, match="TypeError"):
+        stebz(b"I", b"E", n, 0.0, 0.0, 1, n, 0.0, d.astype(np.float32), e, m, nsplit, w,
+              iblock, isplit)
+    with pytest.raises(ctypes.ArgumentError, match="TypeError"):
+        stebz(b"I", b"E", n, 0.0, 0.0, 1, n, 0.0, d, e, m.astype(np.int32), nsplit, w,
+              iblock, isplit)
+    w.flags.writeable = False
+    with pytest.raises(ctypes.ArgumentError, match="TypeError"):
+        stebz(b"I", b"E", n, 0.0, 0.0, 1, n, 0.0, d, e, m, nsplit, w, iblock, isplit)

@@ -27,6 +27,7 @@ from ptdeform.wavefun import (
     build_eigenfunction,
     chebyshev_points,
     gram_matrix,
+    ladder_climb,
     ladder_table,
     norm0,
     norm_n,
@@ -104,6 +105,16 @@ def test_ladder_construction_matches_closed_form(nu):
         cb = np.asarray(build_eigenfunction(p, n, "closed_form").basis_coeffs)
         lb = np.asarray(build_eigenfunction(p, n, "ladder").basis_coeffs)
         assert np.max(np.abs(lb - cb)) / float(np.max(np.abs(cb))) < 1e-9
+
+
+def test_one_ladder_climb_yields_every_level():
+    # verify reads one climb for all 26 levels; each equals the ladder
+    # route of build_eigenfunction, coefficient for coefficient
+    p = ModelParams(nu=3.7)
+    climbed = list(ladder_climb(p, 25))
+    assert len(climbed) == 26
+    for n, basis in enumerate(climbed):
+        assert tuple(basis) == build_eigenfunction(p, n, "ladder").basis_coeffs
 
 
 @pytest.mark.parametrize("nu", NU_SET)

@@ -14,7 +14,9 @@ The list holds each table command at default and non-unit settings, in
 JSON and CSV, up to nu = 49.9 at its floor order, plus two `wavefunctions`
 runs where the sign of a printed zero can change: an odd ``--samples``,
 which holds x = 0, and nu = 150, where psi underflows to zero near the
-walls.
+walls.  The `spectrum` runs cover the range of the grid's eigenvalue
+solver: 51 levels (``--n-max 50``), non-unit units, ``--hbar 1e40``, and
+the smallest grid, ``--grid-points 200``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ COMMANDS = [
     ["spectrum", "--nu", "2"],
     ["spectrum", "--nu", "1.294678", "--format", "csv"],
     ["spectrum", "--nu", "49.9", "--grid-points", "4000"],
+    ["spectrum", "--nu", "3.7", "--n-max", "50"],
+    ["spectrum", "--nu", "1.294678", *UNITS],
+    ["spectrum", "--nu", "2", "--hbar", "1e40", "--format", "csv"],
+    ["spectrum", "--nu", "25", "--grid-points", "200"],
     ["wavefunctions", "--nu", "2"],
     ["wavefunctions", "--nu", "49.9", "--n-max", "12", "--samples", "33", "--format", "csv"],
     ["wavefunctions", "--nu", "3.7", "--n-max", "12", "--samples", "33", "--format", "csv"],
