@@ -80,7 +80,7 @@ __all__ = [
 TRUST_MARGIN = 4
 
 # The largest quadrature order a run may ask for: building the Legendre
-# rule costs O(Q^2) (0.4 s at Q = 4000, 1.2 s at Q = 8000 on one Xeon core),
+# rule costs O(Q^2) (20 ms at Q = 4000, 70 ms at Q = 8000 on one Xeon core),
 # and no configuration of the battery needs more than about 1100.
 MAX_QUADRATURE_ORDER = 4096
 

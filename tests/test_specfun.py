@@ -1,10 +1,12 @@
 """Numerics primitives against independent references: scipy.special and
-numpy.polynomial for Gegenbauer values and Gauss-Legendre rules, and
-scipy.linalg for the tridiagonal eigenvalues."""
+numpy.polynomial for Gegenbauer values and Gauss-Legendre rules, mpmath
+for Gauss-Legendre rules of high order, and scipy.linalg for the
+tridiagonal eigenvalues."""
 
 import ctypes
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from ptdeform.specfun import (
     gegenbauer_row,
     tridiagonal_lowest,
     _legendre_rule,
+    _legendre_start,
 )
 
 NU_GRID = [0.6, 1.0, 1.5, 2.0, 3.7]
@@ -69,7 +72,7 @@ def test_gegenbauer_row_validation():
 # Gauss-Legendre
 
 
-@pytest.mark.parametrize("q", [5, 20, 64, 120, 180])
+@pytest.mark.parametrize("q", list(range(1, 61)) + [64, 120, 180])
 def test_gauss_legendre_matches_numpy(q):
     rule = gauss_legendre(q, -1.0, 1.0)
     nodes, weights = leggauss(q)
@@ -113,6 +116,72 @@ def test_gauss_legendre_mapped_interval():
     rule = gauss_legendre(40, -math.pi / 2, math.pi / 2)
     assert float(rule.weights @ np.cos(rule.nodes) ** 4) == pytest.approx(3 * math.pi / 8, abs=1e-13)
     assert rule.interval == (-math.pi / 2, math.pi / 2)
+
+
+def _mpmath_node_and_weight(q: int, x0: float):
+    """The root of P_q next to ``x0`` and its weight 2 / ((1 - x^2) P_q'^2),
+    by Newton's method in 40-digit arithmetic.  A root x < 0 is found as
+    -(the root next to -x0), where mpmath evaluates P_q much faster."""
+    sign = -1 if x0 < 0 else 1
+    with mpmath.workdps(40):
+        x = mpmath.mpf(abs(x0))
+        for _ in range(3):  # from a double start, 3 steps exceed 40 digits
+            p = mpmath.legendre(q, x)
+            x -= p * (1 - x * x) / (q * (mpmath.legendre(q - 1, x) - x * p))
+        dp = q * (mpmath.legendre(q - 1, x) - x * mpmath.legendre(q, x)) / (1 - x * x)
+        return sign * x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("q", [76, 120, 1020, 1069])
+def test_gauss_legendre_matches_mpmath(q):
+    # The 4 outermost nodes at each wall and 6 interior ones.  Near the wall
+    # a weight is ill-conditioned in its node, d(ln w)/dx = 2x / (1 - x^2),
+    # so the recurrence's rounding moves it by about eps / (1 - x^2).  The
+    # two outermost weights must lie within 5e-11, the others within 1e-13
+    # plus twice that amount.
+    z, w = _legendre_rule(q)
+    interior = [int(i) for i in np.linspace(4, q - 5, 6)]
+    for i in [0, 1, 2, 3, q - 4, q - 3, q - 2, q - 1] + interior:
+        x, weight = _mpmath_node_and_weight(q, z[i])
+        assert abs(z[i] - float(x)) < 2.3e-16, (q, i)
+        rel = float(abs((w[i] - weight) / weight))
+        if min(i, q - 1 - i) < 2:
+            assert rel < 5e-11, (q, i, rel)
+        else:
+            assert rel < 1e-13 + 2 * np.finfo(float).eps / (1.0 - z[i] ** 2), (q, i, rel)
+
+
+def test_gauss_legendre_discrete_orthogonality():
+    # sum_k w_k P_m(z_k) P_n(z_k) = delta_mn 2 / (2n + 1) for all m, n < q
+    q = 1020
+    z, w = _legendre_rule(q)
+    rows = np.empty((q, q))
+    rows[0], rows[1] = 1.0, z
+    for n in range(2, q):
+        rows[n] = ((2 * n - 1) * z * rows[n - 1] - (n - 1) * rows[n - 2]) / n
+    gram = (rows * w) @ rows.T
+    gram[np.diag_indices(q)] -= 2.0 / (2.0 * np.arange(q) + 1.0)
+    assert np.max(np.abs(gram)) < 1e-14
+
+
+@pytest.mark.parametrize("q", [76, 77, 120, 481, 1020, 1021, 1069, 4096])
+def test_legendre_start_is_close_enough_for_one_newton_pass(q):
+    # a start this close converges in the one Newton pass that sets the
+    # cost of a rule
+    z, _ = _legendre_rule(q)
+    start = _legendre_start(q)
+    assert start.shape == ((q + 1) // 2,)
+    assert np.max(np.abs(start - z[q // 2:])) < 1e-9
+
+
+def test_gauss_legendre_rule_is_mirrored_exactly():
+    for q in range(1, 201):
+        z, w = _legendre_rule(q)
+        assert np.array_equal(z, -z[::-1]), q
+        assert np.array_equal(w, w[::-1]), q
+        assert np.all(np.diff(z) > 0.0), q
+        if q % 2:
+            assert z[q // 2] == 0.0, q
 
 
 def test_gauss_legendre_validation():
