@@ -15,12 +15,17 @@ where s = sqrt(E/eps).  At nu = 1 (square well) the nu(nu-1)/D terms with
 nonzero D vanish, while the two spots where D itself degenerates to
 nu(nu-1) -- f at the ground energy and the coefficient recursion at n = 1
 -- take the value 1, the bottom-of-tower value the matrices realize.
+`energy` and the level functions g, f and h take one value or a numpy
+array of them, entry by entry in the same arithmetic, and a float gives a
+float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -102,21 +107,36 @@ def nu_from_v0(v0: float, epsilon: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * v0 / epsilon))
 
 
-def energy(params: ModelParams, n: int) -> float:
-    """Bound-state energy E_n = eps (n + nu)^2."""
-    if n < 0:
-        raise ValueError(f"level index must be >= 0, got {n}")
-    return params.epsilon * (n + params.nu) ** 2
+def energy(params: ModelParams, n):
+    """Bound-state energy E_n = eps (n + nu)^2 of a level index, or of each
+    entry of an integer array of them.  The square is s * s, s = n + nu, in
+    both forms, so a float and the entry of an array agree bit for bit."""
+    if _any(n < 0):
+        raise ValueError(f"level index must be >= 0, got {np.min(n)}")
+    s = n + params.nu
+    return params.epsilon * (s * s)
 
 
-def _sqrt_ratio(params: ModelParams, e: float) -> float:
-    if e <= 0.0:
-        raise ValueError(f"energy argument must be positive, got {e}")
-    return math.sqrt(e / params.epsilon)
+def _any(mask) -> bool:
+    """A bool, or whether any entry of a bool array is set; a float's
+    comparison stays off numpy, whose reductions cost microseconds."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _strength_over(params: ModelParams, denom: float) -> float:
-    """nu (nu - 1) / denom, resolved continuously at the square-well point.
+def _sqrt(x):
+    """math.sqrt of a float, np.sqrt of an array: both correctly rounded."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _sqrt_ratio(params: ModelParams, e):
+    if _any(e <= 0.0):
+        raise ValueError(f"energy argument must be positive, got {np.min(e)}")
+    return _sqrt(e / params.epsilon)
+
+
+def _strength_over(params: ModelParams, denom):
+    """nu (nu - 1) / denom, entry by entry, resolved continuously at the
+    square-well point.
 
     Every denominator this ratio meets in this package degenerates, when it
     degenerates at all, to nu (nu - 1) itself (the f term at the ground
@@ -128,22 +148,23 @@ def _strength_over(params: ModelParams, denom: float) -> float:
     with nonzero numerator is a genuine error.
     """
     num = params.strength()
+    pole = denom == 0.0  # a bool, or a bool array
     if num == 0.0:
-        return 1.0 if denom == 0.0 else 0.0
-    if denom == 0.0:
+        return pole * 1.0  # 1 at each vanishing denominator, 0 elsewhere
+    if _any(pole):
         raise ZeroDivisionError(
             "deforming function evaluated at its pole away from nu = 1"
         )
     return num / denom
 
 
-def g_of(params: ModelParams, e: float) -> float:
+def g_of(params: ModelParams, e):
     """Grading shift g(E) = -eps + 2 sqrt(eps E), so E_n - g(E_n) = E_{n-1}."""
     s = _sqrt_ratio(params, e)
     return params.epsilon * (2.0 * s - 1.0)
 
 
-def f_of(params: ModelParams, e: float) -> float:
+def f_of(params: ModelParams, e):
     """Deforming function f in [b, b+] = -f(H).
 
     The positive combination is -f(E) = 1 + 2s + nu(nu-1)/(s(s-1)) with
@@ -153,7 +174,7 @@ def f_of(params: ModelParams, e: float) -> float:
     return -(1.0 + 2.0 * s + _strength_over(params, s * (s - 1.0)))
 
 
-def f_of_uncorrected(params: ModelParams, e: float) -> float:
+def f_of_uncorrected(params: ModelParams, e):
     """The f that drops the nu(nu-1)/(s(s-1)) term.
 
     Using this in [b, b+] = -f(H) leaves an order-one defect for nu > 1;
@@ -163,10 +184,11 @@ def f_of_uncorrected(params: ModelParams, e: float) -> float:
     return -(1.0 + 2.0 * s)
 
 
-def h_of(params: ModelParams, e: float) -> float:
+def h_of(params: ModelParams, e):
     """Casimir companion h(E) = -(1 + s)^2 + nu(nu-1)/s, s = sqrt(E/eps)."""
     s = _sqrt_ratio(params, e)
-    return -((1.0 + s) ** 2) + _strength_over(params, s)
+    t = 1.0 + s
+    return -(t * t) + _strength_over(params, s)
 
 
 def alpha(params: ModelParams, n: int) -> float:

@@ -7,15 +7,19 @@ functions of H are diagonal.  Every operator of the algebra is banded:
 X, P and b couple |n> only to |n +- 1>.  `OperatorMatrix` therefore stores
 an operator as its diagonals out to its ``bandwidth``, so a product costs
 O(N w1 w2) and a sum or a norm O(N w).  `quadrature_XP` forms only the
-tridiagonal band of X and P, each entry one sum over the nodes, and for
-each column n the three-term defect ||T psi_n - sum_{|m-n|<=1} T_mn psi_m||
+two off-diagonals of X and P, each entry one sum over the nodes, and for
+each column n the three-term defect ||T psi_n - sum_{|m-n|=1} T_mn psi_m||
 over the nodes, which vanishes exactly when the quadrature T is
-tridiagonal.  It reduces the basis stream of `basis_blocks` block by
-block, so the whole pass is O(N Q) in time and O(32 Q) in scratch: no
-N x Q table and no N x N array is formed.  `operator_set`, the one
-builder of the X/P/H/b/b+ set, keeps the defects beside the bands, and
-the structure checks of `structure_residuals` read them, so whatever
-quadrature puts off the band is still measured.
+tridiagonal.  psi_n has parity (-1)^n and X and P are odd, so on a rule
+that is its own mirror image every integrand it sums is even, and every
+diagonal entry is exactly 0: the layer runs on the (Q+1)//2 nonnegative
+nodes with doubled weights (the midpoint of an odd rule keeps its own).
+It reduces the basis stream of `basis_blocks` block by block, so the
+whole pass is O(N Q / 2) in time and O(32 Q / 2) in scratch: no N x Q
+table and no N x N array is formed.  `operator_set`, the one builder of
+the X/P/H/b/b+ set, keeps the defects beside the bands, and the structure
+checks of `structure_residuals` read them, so whatever quadrature puts off
+the band is still measured.
 
 Because the basis is truncated at ``basis_size``, entries near the edge
 of a product matrix are contaminated by the missing tail of the sum.
@@ -237,8 +241,9 @@ def diag_operator(values, n_basis: int) -> OperatorMatrix:
 
 
 def energy_diag(params: ModelParams, n_basis: int, fn) -> OperatorMatrix:
-    """diag(fn(E_0), ..., fn(E_{N-1})); spectral calculus for functions of H."""
-    return diag_operator([fn(params, energy(params, n)) for n in range(n_basis)], n_basis)
+    """diag(fn(E_0), ..., fn(E_{N-1})); spectral calculus for functions of H.
+    ``fn`` is a level function of `algebra`, applied to the whole spectrum."""
+    return diag_operator(fn(params, energy(params, np.arange(n_basis))), n_basis)
 
 
 def quadrature_floor(params: ModelParams, n_basis: int) -> int | float:
@@ -260,36 +265,57 @@ def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None
     if not (math.isclose(rule.interval[0], a, rel_tol=1e-9, abs_tol=1e-12)
             and math.isclose(rule.interval[1], b, rel_tol=1e-9, abs_tol=1e-12)):
         raise ValueError(f"quadrature interval {rule.interval} does not match the box ({a}, {b})")
+    if not (np.array_equal(rule.nodes[::-1], -rule.nodes)
+            and np.array_equal(rule.weights[::-1], rule.weights)):
+        raise ValueError("quadrature rule is not its own mirror image about x = 0: the X and P "
+                         "layer sums over the nonnegative half of the rule by parity")
+
+
+def _folded_rule(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """The (Q+1)//2 nonnegative nodes of a mirrored rule and their folded
+    weights: 2 w_q, except the midpoint of an odd rule, which is its own
+    mirror image and keeps w_q.  A sum of an even function over them is
+    its sum over the whole rule."""
+    half = rule.order // 2
+    weights = 2.0 * rule.weights[half:]
+    if rule.order % 2:
+        weights[0] = rule.weights[half]
+    return rule.nodes[half:], weights
 
 
 def _tridiagonal_block(psi: np.ndarray, wpsi: np.ndarray, weights: np.ndarray,
                        image: np.ndarray, lo: int, hi: int, band: dict[int, np.ndarray],
                        defect: np.ndarray) -> None:
-    """Columns lo .. hi-1 of the tridiagonal band of the real operator T,
+    """Columns lo .. hi-1 of the off-diagonals of the real odd operator T,
     T_mn = sum_q w_q psi_m T psi_n, and the three-term defect of each of
     them up to column N-2,
 
-        ||T psi_n - sum_{|m-n| <= 1} T_mn psi_m||_Q,   ||f||_Q^2 = sum_q w_q f_q^2,
+        ||T psi_n - T_{n-1,n} psi_{n-1} - T_{n+1,n} psi_{n+1}||_Q,
+        ||f||_Q^2 = sum_q w_q f_q^2,
 
-    written into ``band`` (offsets -1, 0, 1) and ``defect``.  ``psi`` holds
-    the levels max(lo-1, 0) .. top, top = min(hi, N-1), the window of a
-    `basis_blocks` block, ``wpsi`` the levels lo .. top of it times
-    ``weights``, and ``image`` the images T psi_n of the levels lo .. top;
-    T_{lo-1,lo} must already be in ``band``.
+    written into ``band`` (offsets -1 and 1) and ``defect``.  The nodes and
+    ``weights`` are the folded half of a mirrored rule: psi_m T psi_n is
+    even for |m - n| = 1, and so is the square of the three-term remainder,
+    whose terms all have the parity (-1)^(n+1), so each sum over the half
+    is the sum over the whole rule.  The diagonal T_nn has an odd integrand
+    and is exactly 0, so it is neither formed nor subtracted.
+
+    ``psi`` holds the levels max(lo-1, 0) .. top, top = min(hi, N-1), the
+    window of a `basis_blocks` block, ``wpsi`` the levels lo .. top of it
+    times ``weights``, and ``image`` the images T psi_n of the levels lo ..
+    top; T_{lo-1,lo} must already be in ``band``.
 
     T_{n,n+1} and T_{n+1,n} are separate sums, so their difference measures
     Hermiticity.  The defect vanishes exactly when T psi_n lies in the span
-    of psi_{n-1}, psi_n, psi_{n+1}; column N-1 has none, as psi_N is not in
-    the table.  O(len(psi) Q), with block-sized temporaries.
+    of psi_{n-1}, psi_{n+1}; column N-1 has none, as psi_N is not in the
+    table.  O(len(psi) len(weights)), with block-sized temporaries.
     """
-    diag, upper, lower = band[0], band[1], band[-1]
-    top = min(hi, diag.size - 1)  # the rows that couple to a next row
+    upper, lower = band[1], band[-1]
+    top = min(hi, lower.size)  # the rows that couple to a next row
     own = psi[lo - max(lo - 1, 0):]  # levels lo .. top
-    diag[lo:hi] = np.einsum("ij,ij->i", wpsi[:hi - lo], image[:hi - lo])
     upper[lo:top] = np.einsum("ij,ij->i", wpsi[:top - lo], image[1:])
     lower[lo:top] = np.einsum("ij,ij->i", wpsi[1:], image[:top - lo])
-    resid = image[:top - lo] - diag[lo:top, None] * own[:top - lo]
-    resid -= lower[lo:top, None] * own[1:]
+    resid = image[:top - lo] - lower[lo:top, None] * own[1:]
     first = max(lo, 1)  # psi_{-1} does not exist
     resid[first - lo:] -= upper[first - 1:top - 1, None] * psi[:top - first]
     resid *= resid
@@ -301,7 +327,7 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
     """The tridiagonal bands of X = sin(kx) and of the deformed momentum
     P = k [cos(kx) p + (i hbar k / 2) sin(kx)] by quadrature with ``rule``,
     and the three-term defect of each column n <= N-2 of either, from one
-    stream of `basis_blocks` at the nodes (see `_tridiagonal_block`).
+    stream of `basis_blocks` (see `_tridiagonal_block`).
 
     Both operators are tridiagonal on the exact tower, so the defects
     measure what quadrature puts off the band; no off-band entry is formed.
@@ -311,21 +337,28 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
         R psi = hbar k [ (k/2) sin(kx) psi - cos(kx) psi' ],
 
     so the band is read from the real images R psi, built in the storage of
-    the block's psi', which the images sin(kx) psi of X then reuse.  Each
-    block is reduced as it arrives, so no N x Q table is formed: the
-    scratch is a few blocks of (32 + 2) x Q, and the cost is O(N Q).
-    Raises `QuadratureOrderError` when the Hermiticity defect of the P band
-    or a P defect exceeds 1e-8 hbar k^2, the scale of P, which signals an
-    inadequate rule.
+    the block's psi', which the images sin(kx) psi of X then reuse.
+
+    psi_n has parity (-1)^n, and X and R are odd, so both couple only
+    levels of opposite parity: the diagonals are exactly 0, and the
+    off-diagonal and defect integrands are even.  ``rule`` must therefore
+    be its own mirror image about x = 0 (a `ValueError` otherwise), and
+    the stream runs on its (Q+1)//2 nonnegative nodes with the weights
+    folded onto them, 2 w_q, except the midpoint of an odd rule, which
+    keeps w_q.  Each block is reduced as it arrives, so no N x Q table is
+    formed: the scratch is a few blocks of (32 + 2) x (Q+1)//2, and the
+    cost is O(N Q / 2).  Raises `QuadratureOrderError` when the
+    Hermiticity defect of the P band or a P defect exceeds 1e-8 hbar k^2,
+    the scale of P, which signals an inadequate rule.
     """
     _check_rule(params, n_basis, rule)
-    s = np.sin(params.k * rule.nodes)
-    c = np.cos(params.k * rule.nodes)
+    nodes, weights = _folded_rule(rule)
+    s = np.sin(params.k * nodes)
+    c = np.cos(params.k * nodes)
     hbar, k = params.hbar, params.k
     deriv_factor = -hbar * k * c
     value_factor = 0.5 * hbar * k**2 * s
-    weights = rule.weights
-    x_band, r_band = ({p: np.empty(n_basis - abs(p)) for p in (-1, 0, 1)} for _ in range(2))
+    x_band, r_band = ({p: np.empty(n_basis - 1) for p in (-1, 1)} for _ in range(2))
     x_defect, p_defect = np.empty(n_basis - 1), np.empty(n_basis - 1)
     for lo, hi, psi, image in basis_blocks(params, n_basis, s, c):
         own = slice(lo - max(lo - 1, 0), None)  # the levels lo .. top of the window
@@ -336,6 +369,7 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
         _tridiagonal_block(psi, wpsi, weights, image, lo, hi, r_band, p_defect)
         np.multiply(psi[own], s, out=image)
         _tridiagonal_block(psi, wpsi, weights, image, lo, hi, x_band, x_defect)
+    # the diagonals, absent from the bands, are filled with exact zeros
     p_op = OperatorMatrix({p: 1j * v for p, v in r_band.items()}, n_basis)
     resid = max(p_op.hermiticity_residual(), float(np.max(p_defect)))
     scale = hbar * k**2
@@ -359,11 +393,16 @@ def build_P(params: ModelParams, n_basis: int, rule: QuadratureRule) -> Operator
 
 def build_H(params: ModelParams, n_basis: int) -> OperatorMatrix:
     """Hamiltonian, diagonal on its own bound tower: H|n> = eps (n+nu)^2 |n>."""
-    return diag_operator([energy(params, n) for n in range(n_basis)], n_basis)
+    return diag_operator(energy(params, np.arange(n_basis)), n_basis)
+
+
+def _levels(params: ModelParams, n_basis: int) -> np.ndarray:
+    """s_n = n + nu = sqrt(E_n / eps) for n = 0 .. n_basis-1."""
+    return np.arange(n_basis) + params.nu
 
 
 def _sqrt_eh(params: ModelParams, n_basis: int) -> np.ndarray:
-    return np.array([math.sqrt(params.epsilon * energy(params, n)) for n in range(n_basis)])
+    return np.sqrt(params.epsilon * energy(params, np.arange(n_basis)))
 
 
 def assemble_b(params: ModelParams, X: OperatorMatrix, P: OperatorMatrix,
@@ -514,7 +553,7 @@ def extended_algebra_residuals(params: ModelParams, c1: OperatorMatrix, b: Opera
             = C + sqrt(H/eps) (1 + 3 sqrt(H/eps)).
     """
     n_basis = b.basis_size
-    ratios = np.array([n + params.nu for n in range(n_basis)])
+    ratios = _levels(params, n_basis)
     s = diag_operator(ratios, n_basis)
     rhs_diag = diag_operator(ratios * (1.0 + 3.0 * ratios), n_basis)
     bilinear = s @ (b @ bplus) - (s - identity(n_basis)) @ (bplus @ b) - c1 - rhs_diag
@@ -533,7 +572,7 @@ def build_su11(params: ModelParams, b: OperatorMatrix, bplus: OperatorMatrix,
         J0 = sqrt(H/eps),  J+ = b+ sqrt(J0 / (J0 + 1)),  J- = adjoint(J+).
     """
     n_basis = b.basis_size
-    ratios = np.array([n + params.nu for n in range(n_basis)])
+    ratios = _levels(params, n_basis)
     j0 = diag_operator(ratios, n_basis)
     d = diag_operator(np.sqrt(ratios / (ratios + 1.0)), n_basis)
     jp = bplus @ d
@@ -560,7 +599,7 @@ def su11_ordering_residual(params: ModelParams, bplus: OperatorMatrix,
     """J+ written with the square-root factor on either side of b+ must
     give the same matrix: b+ sqrt(J0/(J0+1)) = sqrt((J0-1)/J0) b+."""
     n_basis = bplus.basis_size
-    ratios = np.array([n + params.nu for n in range(n_basis)])
+    ratios = _levels(params, n_basis)
     right = diag_operator(np.sqrt(ratios / (ratios + 1.0)), n_basis)
     left = diag_operator(np.sqrt((ratios - 1.0).clip(min=0.0) / ratios), n_basis)
     return (bplus @ right - left @ bplus).max_abs(margin)

@@ -12,6 +12,7 @@ deformation contributes its resolved 0/0 value of exactly 1.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +156,35 @@ def test_f_square_well_branch():
         assert f_of(NU1, e) == f_of_uncorrected(NU1, e)
     assert f_of(NU1, energy(NU1, 0)) == pytest.approx(-4.0)
     assert f_of_uncorrected(NU1, energy(NU1, 0)) == pytest.approx(-3.0)
+
+
+@pytest.mark.parametrize("params", [NU1, NU2, ModelParams(nu=1.294678), ModelParams(nu=49.9),
+                                    ModelParams(hbar=1.3, mass=0.7, k=2.1, nu=3.7)],
+                         ids=["1.0", "2.0", "1.294678", "49.9", "units"])
+def test_level_functions_take_a_float_or_an_array(params):
+    # one array of levels gives, entry by entry and bit for bit, what one
+    # float per level gives, and a float gives a Python float; at nu = 1
+    # the ground level of f keeps its resolved 0/0 of 1
+    levels = np.arange(480)
+    energies = energy(params, levels)
+    assert np.array_equal(energies, [energy(params, int(n)) for n in levels])
+    for fn in (g_of, f_of, f_of_uncorrected, h_of):
+        values = fn(params, energies)
+        scalars = [fn(params, float(e)) for e in energies]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(values, scalars)
+    assert type(energy(params, 3)) is float
+    if params.nu == 1.0:
+        assert f_of(params, energies)[0] == -4.0
+
+
+def test_level_functions_reject_an_array_at_a_pole_or_off_the_spectrum():
+    with pytest.raises(ZeroDivisionError):
+        f_of(NU2, np.array([4.0, NU2.epsilon]))
+    with pytest.raises(ValueError):
+        h_of(NU2, np.array([4.0, 0.0]))
+    with pytest.raises(ValueError):
+        energy(NU2, np.array([0, -1]))
 
 
 def test_h_reference_point_and_difference_equation():

@@ -359,26 +359,42 @@ def _whole_table_basis(params, n_basis, nodes):
     return psi, dphi
 
 
+def _fold(rule):
+    """The nonnegative half of a mirrored rule, (Q+1)//2 nodes, and its
+    weights doubled, but for the midpoint of an odd rule; and the column
+    slice of a full-rule table that holds those nodes."""
+    half = rule.order // 2
+    weights = 2.0 * rule.weights[half:]
+    if rule.order % 2:
+        weights[0] = rule.weights[half]
+    return rule.nodes[half:], weights, slice(half, None)
+
+
+def _three_term_remainder(psi, image, lower, upper, lo, top):
+    """T psi_n - T_{n+1,n} psi_{n+1} - T_{n-1,n} psi_{n-1} for n = lo ..
+    top-1 at every column of the whole tables, in the arithmetic of
+    `_tridiagonal_block`."""
+    resid = image[lo:top] - lower[lo:top, None] * psi[lo + 1:top + 1]
+    first = max(lo, 1)
+    resid[first - lo:] -= upper[first - 1:top - 1, None] * psi[first - 1:top - 1]
+    return resid
+
+
 def _whole_table_band(psi, weights, image):
-    """The band and defects of `_tridiagonal_block`, read from whole N x Q
-    tables in the same 32-row blocks."""
+    """The off-diagonals and defects of `_tridiagonal_block`, read from
+    whole N x Q tables in the same 32-row blocks; the diagonal is 0."""
     n = psi.shape[0]
-    diag, upper, lower = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    upper, lower = np.empty(n - 1), np.empty(n - 1)
     defect = np.empty(n - 1)
     for lo in range(0, n, 32):
-        hi = min(lo + 32, n)
-        top = min(hi, n - 1)
+        top = min(lo + 32, n - 1)
         wpsi = psi[lo:top + 1] * weights
-        diag[lo:hi] = np.einsum("ij,ij->i", wpsi[:hi - lo], image[lo:hi])
         upper[lo:top] = np.einsum("ij,ij->i", wpsi[:top - lo], image[lo + 1:top + 1])
         lower[lo:top] = np.einsum("ij,ij->i", wpsi[1:], image[lo:top])
-        resid = image[lo:top] - diag[lo:top, None] * psi[lo:top]
-        resid -= lower[lo:top, None] * psi[lo + 1:top + 1]
-        first = max(lo, 1)
-        resid[first - lo:] -= upper[first - 1:top - 1, None] * psi[first - 1:top - 1]
+        resid = _three_term_remainder(psi, image, lower, upper, lo, top)
         resid *= resid
         defect[lo:top] = np.sqrt(resid @ weights)
-    return {-1: lower, 0: diag, 1: upper}, defect
+    return {-1: lower, 0: np.zeros(n), 1: upper}, defect
 
 
 STREAM_SIZES = [8, 31, 32, 33, 34, 64, 65, 97, 480]
@@ -394,7 +410,9 @@ def test_streamed_quadrature_is_the_whole_table_route(n_basis, params):
     # the block stream against whole N x Q tables, bit for bit, across the
     # block edges: each window of `basis_blocks` holds the table rows
     # max(lo-1, 0) .. min(hi, N-1), `basis_table` is their stack, and the
-    # bands and defects of `quadrature_XP` are those of the whole tables
+    # bands and defects of `quadrature_XP` are those of the whole tables'
+    # columns at the nonnegative nodes, summed with the folded weights
+    # (each column of a table depends on its own node alone)
     rule = _rule(params, n_basis)
     psi, dpsi = _whole_table_basis(params, n_basis, rule.nodes)
     s, c = np.sin(params.k * rule.nodes), np.cos(params.k * rule.nodes)
@@ -404,9 +422,11 @@ def test_streamed_quadrature_is_the_whole_table_route(n_basis, params):
         assert np.array_equal(block_dpsi, dpsi[window])
     stacked = basis_table(params, n_basis, rule.nodes)
     assert np.array_equal(stacked[0], psi) and np.array_equal(stacked[1], dpsi)
-    x_image, r_image = _images(params, psi, dpsi, rule.nodes)
-    x_band, x_defect = _whole_table_band(psi, rule.weights, x_image)
-    r_band, p_defect = _whole_table_band(psi, rule.weights, r_image)
+    nodes, weights, half = _fold(rule)
+    psi, dpsi = psi[:, half], dpsi[:, half]
+    x_image, r_image = _images(params, psi, dpsi, nodes)
+    x_band, x_defect = _whole_table_band(psi, weights, x_image)
+    r_band, p_defect = _whole_table_band(psi, weights, r_image)
     x_op, p_op, got_x_defect, got_p_defect = quadrature_XP(params, n_basis, rule)
     for off in (-1, 0, 1):
         assert np.array_equal(x_op.diagonals[off], x_band[off])
@@ -415,13 +435,73 @@ def test_streamed_quadrature_is_the_whole_table_route(n_basis, params):
     assert np.array_equal(got_p_defect, p_defect)
 
 
+PARITY_ORDERS = [169, 1020, 1021]
+PARITY_NUS = [1.0, 1.294678, 3.7, 49.9]
+
+
+@pytest.mark.parametrize("nu", PARITY_NUS)
+@pytest.mark.parametrize("order", PARITY_ORDERS)
+def test_streamed_basis_rows_are_mirrored(order, nu):
+    # psi_n(-x) = (-1)^n psi_n(x) and psi_n'(-x) = (-1)^(n+1) psi_n'(x),
+    # exactly, on the whole rule: sin and cos of mirrored nodes are exactly
+    # odd and even, and every step of the stream keeps the parity
+    params = ModelParams(nu=nu)
+    rule = gauss_legendre(order, *params.box)
+    s, c = np.sin(params.k * rule.nodes), np.cos(params.k * rule.nodes)
+    for lo, _, psi, dpsi in wavefun.basis_blocks(params, 480, s, c):
+        first = max(lo - 1, 0)
+        sign = (-1.0) ** np.arange(first, first + len(psi))[:, None]
+        assert np.array_equal(psi[:, ::-1], sign * psi)
+        assert np.array_equal(dpsi[:, ::-1], -sign * dpsi)
+
+
+@pytest.mark.parametrize("nu", PARITY_NUS)
+@pytest.mark.parametrize("order", PARITY_ORDERS)
+def test_folded_bands_are_the_whole_rule_sums(order, nu):
+    # the off-diagonals and defects of `quadrature_XP`, summed over the
+    # folded half, against sums over every node formed here, entry by entry
+    # (measured at most 2.9e-15 relative); the diagonal is exactly 0.  N is
+    # the largest basis size up to 480 whose floor the rule meets.
+    params = ModelParams(nu=nu)
+    n_basis = min(480, (order - 10 - math.ceil(2 * nu)) // 2)
+    rule = gauss_legendre(order, *params.box)
+    psi, dpsi = basis_table(params, n_basis, rule.nodes)
+    x_op, p_op, x_defect, p_defect = quadrature_XP(params, n_basis, rule)
+    wpsi = psi * rule.weights
+    for op, image, defect in zip((x_op, -1j * p_op), _images(params, psi, dpsi, rule.nodes),
+                                 (x_defect, p_defect)):
+        assert all(np.all(op.diagonals[off].imag == 0.0) for off in (-1, 0, 1))
+        assert np.all(op.diagonals[0] == 0.0)
+        lower, upper = op.diagonals[-1].real, op.diagonals[1].real
+        whole_upper = np.einsum("ij,ij->i", wpsi[:-1], image[1:])
+        whole_lower = np.einsum("ij,ij->i", wpsi[1:], image[:-1])
+        resid = _three_term_remainder(psi, image, lower, upper, 0, n_basis - 1)
+        whole_defect = np.sqrt((resid * resid) @ rule.weights)
+        for got, whole in ((upper, whole_upper), (lower, whole_lower), (defect, whole_defect)):
+            assert np.all(np.abs(got - whole) <= 4e-15 * np.abs(whole))
+
+
+def test_a_rule_that_is_not_its_mirror_image_is_rejected():
+    # the fold needs mirrored nodes and symmetric weights; a skew of the
+    # weights by an odd function, or a shift of the nodes, breaks either
+    params = ModelParams(nu=2.0)
+    rule = gauss_legendre(2 * N + 60, *params.box)
+    odd = np.sin(params.k * rule.nodes)
+    for skewed in (QuadratureRule(rule.nodes, rule.weights * (1.0 + 1e-6 * odd), rule.interval),
+                   QuadratureRule(rule.nodes + 1e-12, rule.weights, rule.interval)):
+        with pytest.raises(ValueError, match="mirror image"):
+            quadrature_XP(params, N, skewed)
+
+
 def test_quadrature_builders_hold_few_tables():
     # A table is one real N x Q array of the basis; a block buffer is one
-    # (32 + 2) x Q window of `basis_blocks`.  `quadrature_XP` reduces each
-    # block as it arrives, so its peak is a fixed number of block buffers
-    # at every N (measured 8.7 at N = 240, 8.3 at N = 1500) and a small
-    # share of a table (0.19 at N = 1500).  One more N x Q array, 7.1
-    # block buffers at N = 240, does not fit under these bounds.
+    # (32 + 2) x Q window of `basis_blocks` on the whole rule.
+    # `quadrature_XP` reduces each block as it arrives, on the (Q+1)//2
+    # nonnegative nodes, so its peak is a fixed number of block buffers at
+    # every N (measured 4.7 at N = 240 and 4.3 at N = 1500; 8.7 and 8.3
+    # when the stream runs on the whole rule) and a small share of a table
+    # (0.10 at N = 1500).  One more N x Q array, 7.1 block buffers at
+    # N = 240, does not fit under these bounds.
     params = ModelParams(nu=3.7)
     for n_basis in (240, 1500):
         rule = gauss_legendre(2 * n_basis + 60, *params.box)
@@ -433,20 +513,20 @@ def test_quadrature_builders_hold_few_tables():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * block
+        assert peak < 6 * block
         if n_basis == 1500:
             assert peak < 0.5 * table
 
 
-def _count_basis_tables(monkeypatch) -> list[int]:
-    """The basis size of every `basis_blocks` stream started through opmat's
-    or wavefun's name for it, from here on: `basis_table` stacks one stream,
-    and `quadrature_XP` reduces one."""
+def _count_basis_tables(monkeypatch) -> list[tuple[int, int]]:
+    """The basis size and the number of points of every `basis_blocks`
+    stream started through opmat's or wavefun's name for it, from here on:
+    `basis_table` stacks one stream, and `quadrature_XP` reduces one."""
     calls = []
     original = wavefun.basis_blocks
 
     def counted(params, n_basis, s, c):
-        calls.append(n_basis)
+        calls.append((n_basis, len(s)))
         return original(params, n_basis, s, c)
 
     for module in (opmat, wavefun):
@@ -455,18 +535,24 @@ def _count_basis_tables(monkeypatch) -> list[int]:
 
 
 def test_one_operator_set_evaluates_the_basis_once(monkeypatch):
+    # on the nonnegative half of the rule, the midpoint of an odd one included
     calls = _count_basis_tables(monkeypatch)
     params = ModelParams(nu=3.7)
-    operator_set(params, N, gauss_legendre(2 * N + 60, *params.box))
-    assert calls == [N]
+    for order in (2 * N + 60, 2 * N + 61):
+        calls.clear()
+        operator_set(params, N, gauss_legendre(order, *params.box))
+        assert calls == [(N, (order + 1) // 2)]
 
 
 def test_one_verify_evaluates_one_basis_table_per_point_set(monkeypatch):
-    # for X and P at the nodes, for the 21 states of the wavefunction layer
-    # at the nodes, and for the 11 states sampled at the Chebyshev points
+    # for X and P at the nonnegative nodes, for the 21 states of the
+    # wavefunction layer at all the nodes, and for the 11 states sampled at
+    # the 100 Chebyshev points
     calls = _count_basis_tables(monkeypatch)
-    run_verification(RunConfig(nu=2.0))
-    assert calls == [N, 21, 11]
+    config = RunConfig(nu=2.0)
+    run_verification(config)
+    order = config.effective_quadrature_order
+    assert calls == [(N, (order + 1) // 2), (21, order), (11, 100)]
 
 
 def test_one_verify_builds_the_casimir_pair_once(monkeypatch):

@@ -14,10 +14,12 @@ The sweep covers N = 30 at 14 strengths up to nu = 300, N = 60, 120 and
 480 at 3 to 5 each, the uncorrected f at N = 30, the small and odd basis
 sizes 8-11, 26 and 27, the sizes 32, 33 and 65 on either side of the
 32-row blocks of the basis stream at nu = 1, 3.7 and 49.9, N = 1500 at
-nu = 3.7, and one set of non-unit units.  Every configuration runs at
-quadrature order max(2N + 60, ceil(2N + 2 nu + 10)).  That order is even
-everywhere except at N = 30, nu = 49.3 (169) and N = 480, nu = 25.3
-(1021), which put the midpoint node of an odd rule into the sweep.
+nu = 3.7 and 25.3, and one set of non-unit units.  Every configuration
+runs at quadrature order max(2N + 60, ceil(2N + 2 nu + 10)).  That order
+is even everywhere except at N = 30, nu = 49.3 (169), N = 480, nu = 25.3
+(1021) and N = 1500, nu = 25.3 (3061), which put the midpoint node of an
+odd rule, the one node the quadrature layer's parity fold does not
+double, into the sweep up to its largest size.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def configs():
     grid += [(480, nu) for nu in (1.0, 3.7, 25.0, 25.3, 49.9)]
     grid += [(n, nu) for n in (8, 9, 10, 11, 26, 27) for nu in (1.0, 1.294678, 3.7, 49.9)]
     grid += [(n, nu) for n in (32, 33, 65) for nu in (1.0, 3.7, 49.9)]
-    grid += [(1500, 3.7)]
+    grid += [(1500, nu) for nu in (3.7, 25.3)]
     for n, nu in grid:
         yield n, nu, "-", {}
     for nu in (1.0, 1.5, 2.0, 3.7, 10.0, 25.0):
