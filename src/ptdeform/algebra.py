@@ -111,25 +111,20 @@ def energy(params: ModelParams, n):
     """Bound-state energy E_n = eps (n + nu)^2 of a level index, or of each
     entry of an integer array of them.  The square is s * s, s = n + nu, in
     both forms, so a float and the entry of an array agree bit for bit."""
-    if _any(n < 0):
+    if np.any(n < 0):
         raise ValueError(f"level index must be >= 0, got {np.min(n)}")
     s = n + params.nu
     return params.epsilon * (s * s)
 
 
-def _any(mask) -> bool:
-    """A bool, or whether any entry of a bool array is set; a float's
-    comparison stays off numpy, whose reductions cost microseconds."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
 def _sqrt(x):
-    """math.sqrt of a float, np.sqrt of an array: both correctly rounded."""
+    """math.sqrt of a float, np.sqrt of an array: both correctly rounded,
+    and a float gives a Python float."""
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def _sqrt_ratio(params: ModelParams, e):
-    if _any(e <= 0.0):
+    if np.any(e <= 0.0):
         raise ValueError(f"energy argument must be positive, got {np.min(e)}")
     return _sqrt(e / params.epsilon)
 
@@ -151,7 +146,7 @@ def _strength_over(params: ModelParams, denom):
     pole = denom == 0.0  # a bool, or a bool array
     if num == 0.0:
         return pole * 1.0  # 1 at each vanishing denominator, 0 elsewhere
-    if _any(pole):
+    if np.any(pole):
         raise ZeroDivisionError(
             "deforming function evaluated at its pole away from nu = 1"
         )

@@ -359,17 +359,6 @@ def _whole_table_basis(params, n_basis, nodes):
     return psi, dphi
 
 
-def _fold(rule):
-    """The nonnegative half of a mirrored rule, (Q+1)//2 nodes, and its
-    weights doubled, but for the midpoint of an odd rule; and the column
-    slice of a full-rule table that holds those nodes."""
-    half = rule.order // 2
-    weights = 2.0 * rule.weights[half:]
-    if rule.order % 2:
-        weights[0] = rule.weights[half]
-    return rule.nodes[half:], weights, slice(half, None)
-
-
 def _three_term_remainder(psi, image, lower, upper, lo, top):
     """T psi_n - T_{n+1,n} psi_{n+1} - T_{n-1,n} psi_{n-1} for n = lo ..
     top-1 at every column of the whole tables, in the arithmetic of
@@ -411,8 +400,10 @@ def test_streamed_quadrature_is_the_whole_table_route(n_basis, params):
     # block edges: each window of `basis_blocks` holds the table rows
     # max(lo-1, 0) .. min(hi, N-1), `basis_table` is their stack, and the
     # bands and defects of `quadrature_XP` are those of the whole tables'
-    # columns at the nonnegative nodes, summed with the folded weights
-    # (each column of a table depends on its own node alone)
+    # columns at the nonnegative nodes, summed with the folded weights of
+    # `opmat._folded_rule` (each column of a table depends on its own node
+    # alone; the fold itself is checked against whole-rule sums in
+    # `test_folded_bands_are_the_whole_rule_sums`)
     rule = _rule(params, n_basis)
     psi, dpsi = _whole_table_basis(params, n_basis, rule.nodes)
     s, c = np.sin(params.k * rule.nodes), np.cos(params.k * rule.nodes)
@@ -422,7 +413,9 @@ def test_streamed_quadrature_is_the_whole_table_route(n_basis, params):
         assert np.array_equal(block_dpsi, dpsi[window])
     stacked = basis_table(params, n_basis, rule.nodes)
     assert np.array_equal(stacked[0], psi) and np.array_equal(stacked[1], dpsi)
-    nodes, weights, half = _fold(rule)
+    nodes, weights = opmat._folded_rule(rule)
+    half = slice(rule.order // 2, None)  # the columns at those nodes
+    assert np.array_equal(rule.nodes[half], nodes)
     psi, dpsi = psi[:, half], dpsi[:, half]
     x_image, r_image = _images(params, psi, dpsi, nodes)
     x_band, x_defect = _whole_table_band(psi, weights, x_image)
@@ -696,15 +689,16 @@ BIT_NUS = [1.0, 1.294678, 3.7, 49.9]
 def test_structure_residuals_match_the_full_width_operators(n_basis, nu, perturbed):
     # reference: the bands at full width through `trusted`, and the
     # off-band part of each column n of b bounded from the defects,
-    # (defect^X_n d1_n + (hbar/m) defect^P_n) / (2 eps)
+    # (defect^X_n d1_n + (hbar/m) defect^P_n) / (2 eps); the diagonals,
+    # which no relation reads, are exactly 0
     params = ModelParams(nu=nu)
     ops = operator_set(params, n_basis, _rule(params, n_basis))
-    if perturbed:  # content off Hermiticity and off the ladder in every band entry
+    if perturbed:  # content off Hermiticity and off the ladder in every off-diagonal entry
         rng = np.random.default_rng(n_basis)
 
         def noise():
             return OperatorMatrix({off: 1e-6 * rng.standard_normal(n_basis - abs(off))
-                                   for off in (-1, 0, 1)}, n_basis)
+                                   for off in (-1, 1)}, n_basis)
 
         x_op, p_op = ops.X + noise(), ops.P + noise() + 1j * noise()
         ops = OperatorSet(x_op, p_op, ops.H, *assemble_b(params, x_op, p_op, ops.H),
@@ -713,6 +707,7 @@ def test_structure_residuals_match_the_full_width_operators(n_basis, nu, perturb
     margin = 4
     keep = n_basis - margin
     xt, pt, bt = (op.trusted(margin) for op in (ops.X, ops.P, ops.b))
+    assert not any(np.any(np.diag(table)) for table in (xt, pt, bt))
     x_defect, p_defect = ops.x_defect[:keep], ops.p_defect[:keep]
     eps = params.epsilon
     d1 = eps + 2.0 * np.sqrt([eps * energy(params, n) for n in range(keep)])
@@ -721,7 +716,7 @@ def test_structure_residuals_match_the_full_width_operators(n_basis, nu, perturb
     ladder[np.arange(keep - 1), np.arange(1, keep)] = False
     expected = {
         "x_hermitian": float(np.max(np.abs(xt - xt.T))),
-        "x_structure": max(float(np.max(np.abs(np.diag(xt)))), float(np.max(x_defect))),
+        "x_structure": float(np.max(x_defect)),
         "p_hermitian": max(float(np.max(np.abs(pt - pt.conj().T))), float(np.max(p_defect))),
         "b_annihilates_ground": max(float(np.max(np.abs(bt[:, 0]))), float(b_off_band[0])),
         "b_ladder_diagonal_alpha": float(max(abs(bt[n - 1, n] - alpha(params, n))
