@@ -16,12 +16,14 @@ timestamp and wall-time fields.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import io
 import json
 import math
 import platform
 import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -63,12 +65,12 @@ from .opmat import (
 )
 from .specfun import gauss_legendre
 from .wavefun import (
-    build_eigenfunction,
     chebyshev_points,
+    closed_form_states,
     ladder_climb,
     ladder_table,
     psi_form_tables,
-    psi_second_deriv_value,
+    psi_second_deriv_table,
     square_well_state,
 )
 
@@ -298,14 +300,14 @@ class VerificationReport:
 
 
 def _versions() -> dict:
-    # imported here: only verify reports scipy's version; the bare package
-    # loads no scipy.linalg but still adds to the start-up of every command
-    import scipy
-
+    # scipy's version only where something has loaded it (the grid oracle's
+    # fallback where numpy ships no dstebz): importing it for its version
+    # alone would cost every fresh verify about 17 ms
+    scipy = sys.modules.get("scipy")
     return {
         "ptdeform": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": getattr(scipy, "__version__", None),
         "python": platform.python_version(),
     }
 
@@ -314,10 +316,54 @@ def _rel(diff: float, scale: float) -> float:
     return abs(diff) / max(1.0, abs(scale))
 
 
+class _Background:
+    """``fn(*args)`` on a thread of its own, started at once.  The thread
+    runs in a copy of the starting thread's context: numpy's error state is
+    a context variable, so an overflow there raises as it would here.
+    `result` joins it and returns fn's value or raises fn's exception
+    unchanged; `join` only waits."""
+
+    def __init__(self, fn, *args) -> None:
+        self._outcome: tuple = (None, None)
+        self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._run, fn, args))
+        self._thread.start()
+
+    def _run(self, fn, args) -> None:
+        try:
+            self._outcome = (fn(*args), None)
+        except BaseException as exc:  # handed to the caller by result()
+            self._outcome = (None, exc)
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self):
+        self.join()
+        value, error = self._outcome
+        if error is not None:
+            raise error
+        return value
+
+
 def run_verification(config: RunConfig) -> VerificationReport:
     """Evaluate every relation in the battery and collect the report."""
     t0 = time.perf_counter()
     params = config.params()
+    # The grid oracle uses nothing the other layers compute, and LAPACK's
+    # bisection runs outside the GIL, so it runs on a second thread beside
+    # them; it never outlives the call, whatever the other layers raise.
+    grid = _Background(grid_spectrum, params, config.grid_points, 6)
+    try:
+        return _verification(config, params, grid, t0)
+    finally:
+        grid.join()
+
+
+def _verification(config: RunConfig, params: ModelParams, grid: _Background,
+                  t0: float) -> VerificationReport:
+    """`run_verification` once the grid oracle runs: every other layer, then
+    the oracle's levels from ``grid``, then the report."""
     n_basis = config.basis_size
     margin = TRUST_MARGIN
     rule = config.quadrature(params)
@@ -401,10 +447,9 @@ def run_verification(config: RunConfig) -> VerificationReport:
     checks.append(("su11_orderings_agree", su11_ordering_residual(params, bplus_op, margin)))
 
     # --- wavefunction layer ---------------------------------------------
-    # The closed-form states serve the ladder check and psi'', which no
-    # table holds; the 11 sampled states need them whatever N is.
+    # The closed-form states, their norms from one tower, serve the ladder check.
     n_ladder = min(25, n_basis - 1)
-    efs = [build_eigenfunction(params, n) for n in range(max(11, n_ladder + 1))]
+    efs = closed_form_states(params, n_ladder + 1)
     ladder_resid = 0.0
     for n, ladder in enumerate(ladder_climb(params, n_ladder)):
         coeffs = np.asarray(efs[n].basis_coeffs)
@@ -413,17 +458,18 @@ def run_verification(config: RunConfig) -> VerificationReport:
     checks.append(("ladder_vs_closed_form", ladder_resid))
     checks.extend(wavefunction_residuals(params, 21, rule).items())
 
-    # psi and the lowering action of the sampled states, from one table
+    # psi, the lowering action and psi'' of the sampled states, from tables
     points = chebyshev_points(params, 100)
     psi, lower, _ = ladder_table(params, 11, points)
     checks.append(("ground_state_annihilation", float(np.max(np.abs(lower[0])))))
     leg = psi_form_tables(params, 11, points)[1]
     checks.append(("legendre_form_pointwise", float(np.max(np.abs(psi - leg)))))
 
+    d2psi = psi_second_deriv_table(params, 11, points)
     schro = 0.0
     for n in range(11):
         h_psi = (
-            -params.hbar**2 / (2.0 * params.mass) * psi_second_deriv_value(efs[n], points)
+            -params.hbar**2 / (2.0 * params.mass) * d2psi[n]
             + params.v0 / np.cos(params.k * points) ** 2 * psi[n]
         )
         schro = max(schro, float(np.max(np.abs(h_psi - e[n] * psi[n])))
@@ -437,11 +483,11 @@ def run_verification(config: RunConfig) -> VerificationReport:
         )
         checks.append(("square_well_reduction", sw_resid))
 
-    # --- independent grid oracle ------------------------------------------
-    grid = grid_spectrum(params, config.grid_points, 6)
+    # --- independent grid oracle, from its thread --------------------------
+    levels = grid.result()
     checks.append((
         "spectrum_grid_match",
-        max(abs(grid[n] - e[n]) / e[n] for n in range(6)),
+        max(abs(levels[n] - e[n]) / e[n] for n in range(6)),
     ))
 
     relations = tuple(

@@ -1,7 +1,8 @@
 """Special-function and quadrature primitives.
 
 Everything in this module is pure numerics with no model parameters:
-Gegenbauer polynomial values by three-term recurrence, Gauss-Legendre
+Gegenbauer polynomial values by three-term recurrence, with families of
+consecutive index advanced together in one stacked pass, Gauss-Legendre
 rules with Newton-refined nodes, and the lowest eigenvalues of a symmetric
 tridiagonal matrix by LAPACK's bisection.
 """
@@ -9,6 +10,7 @@ tridiagonal matrix by LAPACK's bisection.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -46,9 +48,9 @@ class QuadratureRule:
 
 
 def gegenbauer_row(n_max: int, nu: float, x):
-    """Values ``[C_0^(nu)(x), ..., C_{n_max}^(nu)(x)]`` at ``x``, by
-    `gegenbauer_fill`.  ``x`` may be a scalar or an array; the leading
-    axis of the result indexes the polynomial order.
+    """Values ``[C_0^(nu)(x), ..., C_{n_max}^(nu)(x)]`` at ``x``: the
+    one-family case of `gegenbauer_fill`.  ``x`` may be a scalar or an
+    array; the leading axis of the result indexes the polynomial order.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -57,36 +59,58 @@ def gegenbauer_row(n_max: int, nu: float, x):
     xa = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1,) + xa.shape)
     flat = xa.reshape(-1)
-    gegenbauer_fill(out.reshape(n_max + 1, flat.size), 0, nu, flat, np.empty_like(flat))
+    gegenbauer_fill(out.reshape(n_max + 1, 1, flat.size), 0, nu, flat,
+                    np.empty((1, flat.size)))
     return out
 
 
 def gegenbauer_fill(rows: np.ndarray, n0: int, nu: float, x: np.ndarray,
                     scratch: np.ndarray) -> None:
-    """Fill ``rows[j]`` with C_{n0+j}^(nu)(x) in place, by the three-term
-    recurrence
+    """Fill ``rows[i, j]`` with C_{n0+i-j}^(nu_j)(x) in place: a stack of
+    Gegenbauer families, family j of index nu_j = nu + j (added 1.0 at a
+    time) and one level behind family j - 1, which is how the derivatives
+    d/dX C_n^(nu) = 2 nu C_{n-1}^(nu+1) line up.  Each family follows the
+    three-term recurrence
 
-        n C_n = 2 (n + nu - 1) x C_{n-1} - (n + 2 nu - 2) C_{n-2},
+        m C_m = 2 (m + nu_j - 1) x C_{m-1} - (m + 2 nu_j - 2) C_{m-2},
 
-    evaluated as ((2 (n + nu - 1) x) C_{n-1} - (n + 2 nu - 2) C_{n-2}) / n.
-    For n0 = 0 the recurrence starts from C_0 = 1 and C_1 = 2 nu x; for
-    n0 > 0 it resumes from rows 0 and 1, which must already hold C_{n0}
-    and C_{n0+1}, so a tower can be built in stretches that carry their
-    last two rows over.  ``x`` is 1-d, each row has its shape, and
-    ``scratch`` is one more such row.
+    evaluated as ((2 (m + nu_j - 1) x) C_{m-1} - (m + 2 nu_j - 2) C_{m-2}) / m,
+    all families of a row in one step.  For n0 = 0 family j starts at row
+    j from C_0 = 1 and C_1 = 2 nu_j x, with C_m = 0 above it (m < 0).  For
+    n0 > 0 the fill resumes from rows 0 and 1, which must already hold
+    levels n0 and n0 + 1 of every family, each at level 1 or more
+    (n0 >= families - 1), so a tower can be built in stretches that carry
+    their last two rows over.  ``x`` is 1-d, ``rows`` has shape
+    (count, families, len(x)), and ``scratch`` is one more row of shape
+    (families, len(x)).
     """
+    count, families = rows.shape[:2]
+    index = [nu]
+    for _ in range(1, families):
+        index.append(index[-1] + 1.0)
+    levels = n0 + np.arange(count)[:, None] - np.arange(families)
+    lam = np.array(index)
+    grow = (2.0 * (levels + lam - 1.0))[:, :, None]
+    keep = (levels + 2.0 * lam - 2.0)[:, :, None]
+    divide = levels[:, :, None].astype(float)
+    steps = zip(rows[2:], rows[1:], rows, grow[2:], keep[2:], divide[2:], itertools.repeat(scratch))
     if n0 == 0:
-        rows[:1] = 1.0
-        if rows.shape[0] >= 2:
-            np.multiply(2.0 * nu, x, out=rows[1])
-    for j in range(2, rows.shape[0]):
-        n = n0 + j
-        row = rows[j]
-        np.multiply(2.0 * (n + nu - 1.0), x, out=row)
-        row *= rows[j - 1]
-        np.multiply(n + 2.0 * nu - 2.0, rows[j - 2], out=scratch)
-        row -= scratch
-        row /= n
+        for j, nu_j in enumerate(index):
+            rows[:j, j] = 0.0
+            rows[j:j + 1, j] = 1.0
+            if j + 1 < count:
+                np.multiply(2.0 * nu_j, x, out=rows[j + 1, j])
+        # rows 2 .. families: only the first i - 1 families have reached level 2
+        ramp = [[a[:k] for a in step] for k, step in zip(range(1, families), steps)]
+        steps = itertools.chain(ramp, steps)
+    elif n0 < families - 1:
+        raise ValueError(f"a fill resumed at level {n0} starts a family below level 1")
+    for row, prev, prev2, a, b, m, tmp in steps:
+        np.multiply(a, x, out=row)
+        row *= prev
+        np.multiply(b, prev2, out=tmp)
+        row -= tmp
+        row /= m
 
 
 def gauss_legendre(q: int, a: float, b: float) -> QuadratureRule:

@@ -10,10 +10,13 @@ through its associated Legendre representation, the Ferrers function
 written through its Gegenbauer connection with one log-space constant.
 Derivatives follow from d/dX C_j^(nu) = 2 nu C_{j-1}^(nu+1), so pointwise
 residuals of differential identities probe only floating-point rounding.
-`basis_blocks` streams psi and psi' of the lowest levels in 32-row blocks;
-`basis_table` stacks them into row tables, and `ladder_table` adds the
-ladder actions b psi_n = alpha_n psi_{n-1}, b+ psi_n = alpha_{n+1} psi_{n+1};
-`psi_form_tables` evaluates both closed forms from one Gegenbauer row table.
+`basis_blocks` streams psi and psi' of the lowest levels in 32-row blocks,
+advancing C^(nu) and C^(nu+1) in one stacked recurrence; `basis_table`
+stacks them into row tables, and `ladder_table` adds the ladder actions
+b psi_n = alpha_n psi_{n-1}, b+ psi_n = alpha_{n+1} psi_{n+1};
+`psi_form_tables` evaluates both closed forms from one Gegenbauer row table,
+and `psi_second_deriv_table` psi'' of many states from one stacked fill of
+C^(nu), C^(nu+1) and C^(nu+2).
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ __all__ = [
     "norm_n",
     "ladder_climb",
     "build_eigenfunction",
+    "closed_form_states",
     "psi_value",
     "BLOCK_ROWS",
     "basis_blocks",
     "basis_table",
     "ladder_table",
     "psi_second_deriv_value",
+    "psi_second_deriv_table",
     "psi_value_legendre",
     "psi_form_tables",
     "gram_matrix",
@@ -141,6 +146,18 @@ def build_eigenfunction(params: ModelParams, n: int, method: str = "closed_form"
     return Eigenfunction(params=params, basis_coeffs=tuple(basis))
 
 
+def closed_form_states(params: ModelParams, count: int) -> list[Eigenfunction]:
+    """psi_0 ... psi_{count-1} by the closed form, their norms read from one
+    `norm_tower`: the states of `build_eigenfunction`, coefficient for
+    coefficient, without a tower per state."""
+    states = []
+    for n, norm in enumerate(norm_tower(params, count)):
+        basis = np.zeros(n + 1)
+        basis[n] = norm
+        states.append(Eigenfunction(params=params, basis_coeffs=tuple(basis)))
+    return states
+
+
 def _trig(params: ModelParams, x):
     """sin(kx), cos(kx) with a strict interior-domain check."""
     xa = np.asarray(x, dtype=float)
@@ -191,11 +208,12 @@ def basis_blocks(params: ModelParams, n_basis: int, s: np.ndarray, c: np.ndarray
     with N_n from `norm_tower` and phi_n' = 2 nu N_n C_{n-1}^(nu+1).  The
     rows of a block are the levels max(lo-1, 0) .. min(hi, n_basis-1): the
     block's own levels lo .. hi-1 and one level on either side, the window
-    a three-term reduction of the block reads.  Each block resumes the two
-    Gegenbauer recurrences, of index nu and nu+1, from the last two rows of
-    the previous one, so the tower costs O(n_basis * len(s)) and the stream
-    holds O(BLOCK_ROWS * len(s)): the yielded arrays are overwritten by the
-    next block.  The psi rows are the arithmetic of `psi_value` on the
+    a three-term reduction of the block reads.  Each block resumes the
+    Gegenbauer recurrences of index nu and nu+1, stacked in one
+    `gegenbauer_fill`, from the last two rows of the previous one, so the
+    tower costs O(n_basis * len(s)) and the stream holds
+    O(BLOCK_ROWS * len(s)): the yielded arrays are overwritten by the next
+    block.  The psi rows are the arithmetic of `psi_value` on the
     states of `build_eigenfunction`, in the same order, so they equal it
     entry by entry; the sign of a zero may differ (at x = 0 the levels
     n = 3 mod 4 give -0.0 here and 0.0 there).
@@ -210,26 +228,22 @@ def basis_blocks(params: ModelParams, n_basis: int, s: np.ndarray, c: np.ndarray
     nu_s = nu * s
     k_c = params.k * c ** (nu - 1.0)
     shape = (min(BLOCK_ROWS + 2, n_basis), s.size)
-    gegen, gegen1 = np.empty(shape), np.empty(shape)  # C_n^(nu), C_{n-1}^(nu+1) of row n
+    gegen = np.empty((shape[0], 2, s.size))  # C_n^(nu) and C_{n-1}^(nu+1) of row n
     psi, phi, dpsi = np.empty(shape), np.empty(shape), np.empty(shape)
-    scratch = np.empty(s.size)
+    scratch = np.empty((2, s.size))
     rows = 0
     for lo in range(0, n_basis, BLOCK_ROWS):
         if lo:  # carry levels lo-1 and lo, the last two rows of the previous block
             gegen[:2] = gegen[rows - 2:rows]
-            gegen1[:2] = gegen1[rows - 2:rows]
-        else:
-            gegen1[0] = 0.0  # phi_0' = 0: level 0 has no C_{-1}^(nu+1)
         hi = min(lo + BLOCK_ROWS, n_basis)
         first = max(lo - 1, 0)
         rows = min(hi + 1, n_basis) - first
-        lead = 0 if lo else 1  # the first block starts C^(nu+1) at row 1, level 1
+        # row 0 of C^(nu+1) is C_{-1} = 0: phi_0' = 0
         gegenbauer_fill(gegen[:rows], first, nu, s, scratch)
-        gegenbauer_fill(gegen1[lead:rows], first - 1 + lead, nu + 1.0, s, scratch)
         levels = slice(first, first + rows)
         block_phi, block_psi, block_dpsi = phi[:rows], psi[:rows], dpsi[:rows]
-        np.multiply(gegen[:rows], norms[levels, None], out=block_phi)
-        np.multiply(gegen1[:rows], dnorms[levels, None], out=block_dpsi)
+        np.multiply(gegen[:rows, 0], norms[levels, None], out=block_phi)
+        np.multiply(gegen[:rows, 1], dnorms[levels, None], out=block_dpsi)
         np.multiply(c_nu, block_phi, out=block_psi)
         # dpsi = k c^(nu-1) ((1 - s^2) dphi - nu s phi), built in the storage of dphi
         block_dpsi *= one_minus_s2
@@ -286,15 +300,38 @@ def psi_second_deriv_value(ef: Eigenfunction, x):
     B = nu(nu-1) X^2 phi - nu (1-X^2) phi - (2nu+1) X (1-X^2) phi'
         + (1-X^2)^2 phi''.
     """
-    p = ef.params
-    nu = p.nu
-    s, c = _trig(p, x)
-    phi = _phi_at(ef, s)
-    dphi = _phi_at(ef, s, 1)
-    d2phi = _phi_at(ef, s, 2)
+    s, c = _trig(ef.params, x)
+    return _shape(_second_deriv(ef.params, s, c, *(_phi_at(ef, s, d) for d in range(3))), x)
+
+
+def psi_second_deriv_table(params: ModelParams, n_levels: int, x) -> np.ndarray:
+    """psi_n'' for n = 0 .. n_levels-1 at the 1-d array ``x``, one row per
+    level, from one stacked fill of C^(nu), C^(nu+1) and C^(nu+2) in place
+    of three Gegenbauer rows per state.  Row n of family j is N_n times the
+    prefactor (2 nu)(2 nu + 2)... of `_phi_at`, built in its order, so the
+    rows are the arithmetic of `psi_second_deriv_value` on the closed-form
+    states and equal it entry by entry, apart from the sign of a zero.
+    """
+    if n_levels < 1:
+        raise ValueError(f"number of levels must be >= 1, got {n_levels}")
+    nu = params.nu
+    s, c = _trig(params, x)
+    rows = np.empty((n_levels, 3, s.size))  # C_n^(nu), C_{n-1}^(nu+1), C_{n-2}^(nu+2)
+    gegenbauer_fill(rows, 0, nu, s, np.empty((3, s.size)))
+    prefactors, index = [1.0], nu
+    for _ in range(2):
+        prefactors.append(prefactors[-1] * (2.0 * index))
+        index += 1.0
+    rows *= norm_tower(params, n_levels)[:, None, None] * np.array(prefactors)[:, None]
+    return _second_deriv(params, s, c, rows[:, 0], rows[:, 1], rows[:, 2])
+
+
+def _second_deriv(params: ModelParams, s, c, phi, dphi, d2phi):
+    """psi'' = k^2 c^(nu-2) B from phi, phi' and phi'' at X = s."""
+    nu = params.nu
     w = 1.0 - s * s
     bracket = nu * (nu - 1.0) * s * s * phi - nu * w * phi - (2.0 * nu + 1.0) * s * w * dphi + w * w * d2phi
-    return _shape(p.k**2 * c ** (nu - 2.0) * bracket, x)
+    return params.k**2 * c ** (nu - 2.0) * bracket
 
 
 def _legendre_log_const(params: ModelParams, n: int) -> float:

@@ -12,8 +12,11 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ptdeform
@@ -576,8 +579,8 @@ def _python_with_src(code: str) -> str:
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy is imported only where it is used: the version echo of verify,
-    # and the grid oracle where numpy ships no LAPACKE dstebz
+    # scipy is imported only where it is used: the grid oracle where numpy
+    # ships no LAPACKE dstebz
     code = ("import sys, ptdeform.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _python_with_src(code) == "[]"
@@ -607,6 +610,74 @@ def test_main_reports_a_lapack_failure_in_one_line(monkeypatch, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("ptdeform: error:")
     assert "dstebz" in err[0] and captured.out == ""
+
+
+def test_verify_loads_no_scipy_and_reports_its_version_as_null():
+    # the version echo reads a scipy something else loaded; importing it for
+    # its version alone would cost every fresh verify about 17 ms
+    if specfun._lapacke_dstebz() is None:
+        pytest.skip("numpy ships no LAPACKE dstebz here; the grid runs through scipy.linalg")
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "from ptdeform.cli import main",
+        "out = io.StringIO()",
+        "with contextlib.redirect_stdout(out):",
+        "    code = main(['verify', '--nu', '2'])",
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "print(code, loaded, json.loads(out.getvalue())['versions']['scipy'])",
+    ])
+    assert _python_with_src(code) == "0 [] None"
+
+
+def test_verify_reports_a_lapack_failure_of_its_grid_thread_in_one_line(monkeypatch, capsys):
+    # the grid oracle runs on a thread of its own; its LinAlgError reaches
+    # the caller unchanged, so verify exits 1 as spectrum does
+    monkeypatch.setattr(specfun, "_lapacke_dstebz", lambda: lambda *args: 1)
+    assert main(["verify", "--nu", "2"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ptdeform: error:")
+    assert "dstebz" in err[0] and captured.out == ""
+
+
+def test_grid_thread_keeps_the_callers_numpy_error_state(monkeypatch, capsys):
+    # numpy's error state is a context variable: the thread runs in a copy of
+    # main's context, so an overflow there raises and exits 1, not a warning
+    def overflowing(params, m_points, n_levels):
+        return np.full(n_levels, np.float64(1e308)) * 10.0
+
+    monkeypatch.setattr(cli, "grid_spectrum", overflowing)
+    assert main(["verify", "--nu", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ptdeform: error: input out of numerical range")
+    assert captured.out == ""
+
+
+def test_grid_thread_never_outlives_verify(monkeypatch):
+    before = threading.active_count()
+    run_verification(RunConfig(nu=2.0))
+    assert threading.active_count() == before
+
+    # the quadrature layer raises while the grid thread is still running
+    grid_started, seen = threading.Event(), []
+    real_grid = cli.grid_spectrum
+
+    def slow_grid(*args):
+        grid_started.set()
+        time.sleep(0.2)
+        return real_grid(*args)
+
+    def failing_operator_set(*args):
+        grid_started.wait(timeout=10.0)
+        seen.append(threading.active_count())
+        raise RuntimeError("quadrature layer failed")
+
+    monkeypatch.setattr(cli, "grid_spectrum", slow_grid)
+    monkeypatch.setattr(cli, "operator_set", failing_operator_set)
+    with pytest.raises(RuntimeError, match="quadrature layer failed"):
+        run_verification(RunConfig(nu=2.0))
+    assert seen == [before + 1]
+    assert threading.active_count() == before
 
 
 def test_main_momentum_hermiticity_check_scales_with_units(capsys):

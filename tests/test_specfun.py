@@ -19,6 +19,7 @@ from ptdeform import specfun
 from ptdeform.specfun import (
     QuadratureRule,
     gauss_legendre,
+    gegenbauer_fill,
     gegenbauer_row,
     tridiagonal_lowest,
     _legendre_rule,
@@ -66,6 +67,44 @@ def test_gegenbauer_row_validation():
         gegenbauer_row(-1, 1.5, 0.0)
     with pytest.raises(ValueError):
         gegenbauer_row(3, 0.0, 0.0)
+
+
+def _one_family(n_max, nu, x):
+    """C_0^(nu) .. C_{n_max}^(nu) by the recurrence written out level by
+    level, one family at a time, in the arithmetic `gegenbauer_fill` keeps."""
+    rows = [np.ones_like(x), 2.0 * nu * x]
+    for n in range(2, n_max + 1):
+        rows.append(((2.0 * (n + nu - 1.0)) * x * rows[-1] - (n + 2.0 * nu - 2.0) * rows[-2]) / n)
+    return np.array(rows[:n_max + 1])
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 49.9])
+@pytest.mark.parametrize("count", [32, 33, 65])
+def test_stacked_families_are_the_single_family_rows(nu, count):
+    # family j of the stack, index nu + j one level behind family j - 1, is
+    # the one-family tower bit for bit, whole and resumed in 32-row stretches
+    # that carry two rows over, as the basis stream resumes it
+    x = np.linspace(-0.999, 0.999, 41)
+    whole = np.empty((count, 3, x.size))
+    gegenbauer_fill(whole, 0, nu, x, np.empty((3, x.size)))
+    index = nu
+    for j in range(3):
+        single = gegenbauer_row(count - 1 - j, index, x)
+        assert np.array_equal(single, _one_family(count - 1 - j, index, x))
+        assert np.array_equal(whole[j:, j], single)
+        assert not whole[:j, j].any()  # levels below 0
+        index += 1.0
+    stretched = np.empty_like(whole)
+    gegenbauer_fill(stretched[:32], 0, nu, x, np.empty((3, x.size)))
+    for first in range(30, count - 2, 30):
+        gegenbauer_fill(stretched[first:first + 32], first, nu, x, np.empty((3, x.size)))
+    assert np.array_equal(stretched, whole)
+    for short in (1, 2):  # fewer rows than families
+        part = np.empty((short, 3, x.size))
+        gegenbauer_fill(part, 0, nu, x, np.empty((3, x.size)))
+        assert np.array_equal(part, whole[:short])
+    with pytest.raises(ValueError):  # family 2 would resume below level 1
+        gegenbauer_fill(stretched[1:10], 1, nu, x, np.empty((3, x.size)))
 
 
 # ---------------------------------------------------------------------------

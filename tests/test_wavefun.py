@@ -26,6 +26,7 @@ from ptdeform.wavefun import (
     basis_table,
     build_eigenfunction,
     chebyshev_points,
+    closed_form_states,
     gram_matrix,
     ladder_climb,
     ladder_table,
@@ -33,6 +34,7 @@ from ptdeform.wavefun import (
     norm_n,
     norm_tower,
     psi_form_tables,
+    psi_second_deriv_table,
     psi_second_deriv_value,
     psi_value,
     psi_value_legendre,
@@ -368,6 +370,30 @@ def test_derivatives_by_richardson(nu):
         assert deriv == pytest.approx(d_num, rel=1e-7, abs=1e-7)
         d2_num = (psi_value(ef, x + h) - 2 * psi_value(ef, x) + psi_value(ef, x - h)) / h**2
         assert psi_second_deriv_value(ef, x) == pytest.approx(d2_num, rel=1e-5, abs=1e-4)
+
+
+@pytest.mark.parametrize("nu", [*NU_SET, 1.294678, 49.9])
+@pytest.mark.parametrize("count", [100, 101])
+def test_second_derivative_table_is_the_per_state_value(nu, count):
+    # one stacked fill of three families gives psi'' of every state, value
+    # for value; 101 points hold x = 0, where the sign of a zero may differ
+    p = ModelParams(nu=nu)
+    points = chebyshev_points(p, count)
+    table = psi_second_deriv_table(p, 11, points)
+    assert table.shape == (11, count)
+    for n, row in enumerate(table):
+        ref = psi_second_deriv_value(build_eigenfunction(p, n), points)
+        assert np.array_equal(row + 0.0, ref + 0.0)  # -0.0 + 0.0 is 0.0
+    with pytest.raises(ValueError):
+        psi_second_deriv_table(p, 0, points)
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 49.9])
+def test_closed_form_states_are_build_eigenfunction(nu):
+    p = ModelParams(nu=nu)
+    states = closed_form_states(p, 26)
+    assert [ef.basis_coeffs for ef in states] == [
+        build_eigenfunction(p, n).basis_coeffs for n in range(26)]
 
 
 @pytest.mark.parametrize("nu", NU_SET)
