@@ -5,21 +5,14 @@ Matrix elements of X = sin(kx) and the deformed momentum P are computed
 by Gauss-Legendre quadrature against the exact eigenfunctions; H and all
 functions of H are diagonal.  Every operator of the algebra is banded:
 X, P and b couple |n> only to |n +- 1>.  `OperatorMatrix` therefore stores
-an operator as its diagonals out to its ``bandwidth``, so a product costs
-O(N w1 w2) and a sum or a norm O(N w).  `quadrature_XP` forms only the
-two off-diagonals of X and P, each entry one sum over the nodes, and for
-each column n the three-term defect ||T psi_n - sum_{|m-n|=1} T_mn psi_m||
-over the nodes, which vanishes exactly when the quadrature T is
-tridiagonal.  psi_n has parity (-1)^n and X and P are odd, so on a rule
-that is its own mirror image every integrand it sums is even, and every
-diagonal entry is exactly 0: the layer runs on the (Q+1)//2 nonnegative
-nodes with doubled weights (the midpoint of an odd rule keeps its own).
-It reduces the basis stream of `basis_blocks` block by block, so the
-whole pass is O(N Q / 2) in time and O(32 Q / 2) in scratch: no N x Q
+an operator as one band array of its 2w+1 diagonals, w its ``bandwidth``,
+so a product costs O(N w1 w2) and a sum or a norm O(N w).  `quadrature_XP`
+forms only the two off-diagonals of X and P, and for each column the
+three-term defect that measures what quadrature puts off the band, in one
+O(N Q / 2) pass over the nonnegative half of a mirrored rule: no N x Q
 table and no N x N array is formed.  `operator_set`, the one builder of
-the X/P/H/b/b+ set, keeps the defects beside the bands, and the structure
-checks of `structure_residuals` read them, so whatever quadrature puts off
-the band is still measured.
+the X/P/H/b/b+ set, keeps the defects beside the bands for the structure
+checks of `structure_residuals`.
 
 Because the basis is truncated at ``basis_size``, entries near the edge
 of a product matrix are contaminated by the missing tail of the sum.
@@ -95,57 +88,54 @@ class QuadratureOrderError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Complex operator on the truncated tower |0> ... |N-1>, stored as its
-    diagonals.
-
-    ``diagonals[p]`` holds the entries <i|A|i+p> for every offset
-    |p| <= ``bandwidth``, indexed by min(i, i+p) as in `np.diagonal`;
-    entries farther from the diagonal are zero.  Offsets missing from the
-    mapping inside the band are filled with zeros.  ``trust_margin``
-    counts trailing rows/columns whose entries may be corrupted by basis
-    truncation; the bandwidth also grows the margin of products.
+    """Complex operator on the truncated tower |0> ... |N-1>, stored as one
+    band of shape (2w+1, N), w the ``bandwidth``: row w+p holds <i|A|i+p>
+    at column i, and the entries whose column i+p lies outside the tower
+    are 0.  ``trust_margin`` counts trailing rows/columns whose entries may
+    be corrupted by basis truncation; the bandwidth also grows the margin
+    of products.
     """
 
-    diagonals: dict[int, np.ndarray]
-    basis_size: int
+    band: np.ndarray
     trust_margin: int = 0
 
     def __post_init__(self) -> None:
-        n = self.basis_size
-        width = max(map(abs, self.diagonals), default=0)
-        if width >= n:
-            raise ValueError(f"offset {width} does not fit a {n} x {n} matrix")
-        diagonals = {}
-        for p in range(-width, width + 1):
-            v = self.diagonals.get(p)
-            v = np.zeros(n - abs(p), dtype=complex) if v is None else np.asarray(v, dtype=complex)
-            if v.shape != (n - abs(p),):
-                raise ValueError(f"diagonal {p} needs {n - abs(p)} entries, got shape {v.shape}")
-            diagonals[p] = v
-        object.__setattr__(self, "diagonals", diagonals)
+        band = np.asarray(self.band, dtype=complex)
+        if band.ndim != 2 or band.shape[0] % 2 == 0 or band.shape[0] >= 2 * band.shape[1]:
+            raise ValueError(f"a band needs an odd row count 2w+1 <= 2N-1, got shape {band.shape}")
+        object.__setattr__(self, "band", band)
 
     @classmethod
     def from_dense(cls, data, basis_size: int, trust_margin: int = 0,
                    bandwidth: int | None = None) -> "OperatorMatrix":
-        """The diagonals of an N x N matrix out to ``bandwidth`` (default:
-        all of them); entries beyond it are dropped."""
+        """The band of an N x N matrix out to ``bandwidth`` (default: all of
+        it); entries beyond it are dropped."""
         d = np.asarray(data, dtype=complex)
         n = basis_size
         if d.shape != (n, n):
             raise ValueError(f"expected a {n} x {n} matrix, got shape {d.shape}")
         width = n - 1 if bandwidth is None else min(bandwidth, n - 1)
-        return cls({p: d.diagonal(p).copy() for p in range(-width, width + 1)}, n, trust_margin)
+        band = np.zeros((2 * width + 1, n), dtype=complex)
+        for p in range(-width, width + 1):
+            band[width + p, max(0, -p):n - max(0, p)] = d.diagonal(p)
+        return cls(band, trust_margin)
+
+    @property
+    def basis_size(self) -> int:
+        return self.band.shape[1]
 
     @property
     def bandwidth(self) -> int:
         """How far the operator couples |n> to |n +- bandwidth>."""
-        return len(self.diagonals) // 2
-
-    def _with(self, diagonals: dict[int, np.ndarray]) -> "OperatorMatrix":
-        return OperatorMatrix(diagonals, self.basis_size, self.trust_margin)
+        return self.band.shape[0] // 2
 
     def adjoint(self) -> "OperatorMatrix":
-        return self._with({p: self.diagonals[-p].conj() for p in self.diagonals})
+        # <i|A^H|i+p> is the conjugate of <i+p|A|i>, row w-p at column i+p
+        n, w = self.basis_size, self.bandwidth
+        out = np.zeros_like(self.band)
+        for p in range(-w, w + 1):
+            out[w + p, max(0, -p):n - max(0, p)] = self.band[w - p, max(0, p):n - max(0, -p)].conj()
+        return OperatorMatrix(out, self.trust_margin)
 
     def _keep(self, margin: int | None) -> int:
         eff = self.trust_margin if margin is None else max(self.trust_margin, margin)
@@ -154,90 +144,96 @@ class OperatorMatrix:
             raise ValueError(f"margin {eff} leaves no trusted block at N = {self.basis_size}")
         return keep
 
-    def _trusted_diagonals(self, margin: int | None) -> dict[int, np.ndarray]:
-        """The entries inside the trusted block of every diagonal that reaches it."""
-        keep = self._keep(margin)
-        return {p: v[:keep - abs(p)] for p, v in self.diagonals.items() if abs(p) < keep}
-
     def diagonal(self, offset: int = 0, margin: int | None = None) -> np.ndarray:
-        """Entries <i|A|i+offset> inside the trusted block."""
-        return self.diagonals[offset][:self._keep(margin) - abs(offset)]
+        """Entries <i|A|i+offset> inside the trusted block, indexed by
+        min(i, i+offset) as in `np.diagonal`."""
+        w = self.bandwidth
+        if abs(offset) > w:
+            raise ValueError(f"offset {offset} lies outside the band of width {w}")
+        row = self.band[w + offset, :self._keep(margin)]
+        return row[-offset:] if offset < 0 else row[:max(row.size - offset, 0)]
 
     def trusted(self, margin: int | None = None) -> np.ndarray:
         """The block guaranteed free of truncation effects, as a dense array."""
         keep = self._keep(margin)
+        w = self.bandwidth
+        rows = np.broadcast_to(np.arange(keep), (2 * w + 1, keep))
+        cols = rows + np.arange(-w, w + 1)[:, None]
+        inside = (cols >= 0) & (cols < keep)
         block = np.zeros((keep, keep), dtype=complex)
-        flat = block.reshape(-1)
-        for p, v in self._trusted_diagonals(margin).items():
-            # diagonal p starts at (max(0, -p), max(0, p)) and steps keep + 1 in the flat block
-            flat[max(0, p) + max(0, -p) * keep::keep + 1][:v.size] = v
+        block[rows[inside], cols[inside]] = self.band[:, :keep][inside]
         return block
 
     def max_abs(self, margin: int | None = None) -> float:
-        return max(float(np.max(np.abs(v))) for v in self._trusted_diagonals(margin).values())
+        keep = self._keep(margin)
+        w = self.bandwidth
+        reach = min(w, keep - 1)  # the offsets that meet the trusted block
+        mag = np.abs(self.band[w - reach:w + reach + 1, :keep])
+        # row p > 0 leaves the block at column keep - p; the columns i < -p
+        # of row p < 0 lie outside the tower and hold 0
+        for p in range(1, reach + 1):
+            mag[reach + p, keep - p:] = 0.0
+        return float(np.max(mag))
 
     def hermiticity_residual(self, margin: int | None = None) -> float:
-        # diagonal -p of A - A^H is minus the conjugate of diagonal p
-        diags = self._trusted_diagonals(margin)
-        return max(float(np.max(np.abs(v - diags[-p].conj()))) for p, v in diags.items() if p >= 0)
+        return (self - self.adjoint()).max_abs(margin)
 
     def _require_same_basis(self, other: "OperatorMatrix") -> None:
         if self.basis_size != other.basis_size:
             raise ValueError("operands act on different basis sizes")
 
-    def _elementwise(self, other: "OperatorMatrix", ufunc) -> "OperatorMatrix":
+    def _combine(self, other: "OperatorMatrix", ufunc) -> "OperatorMatrix":
         self._require_same_basis(other)
-        # a diagonal outside one operand's band is zero there
+        # a row that one operand lacks is 0 there: widen it with zero rows
         width = max(self.bandwidth, other.bandwidth)
-        return OperatorMatrix(
-            {p: ufunc(self.diagonals.get(p, 0.0), other.diagonals.get(p, 0.0))
-             for p in range(-width, width + 1)},
-            self.basis_size,
-            max(self.trust_margin, other.trust_margin),
-        )
+        bands = []
+        for op in (self, other):
+            band, w = op.band, op.bandwidth
+            if w < width:
+                band = np.zeros((2 * width + 1, op.basis_size), dtype=complex)
+                band[width - w:width + w + 1] = op.band
+            bands.append(band)
+        return OperatorMatrix(ufunc(*bands), max(self.trust_margin, other.trust_margin))
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._elementwise(other, np.add)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._elementwise(other, np.subtract)
+        return self._combine(other, np.subtract)
 
     def __neg__(self) -> "OperatorMatrix":
-        return self._with({p: -v for p, v in self.diagonals.items()})
+        return OperatorMatrix(-self.band, self.trust_margin)
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return self._with({p: v * scalar for p, v in self.diagonals.items()})
+        return OperatorMatrix(self.band * scalar, self.trust_margin)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_same_basis(other)
-        n = self.basis_size
-        width = min(self.bandwidth + other.bandwidth, n - 1)
-        out = {s: np.zeros(n - abs(s), dtype=complex) for s in range(-width, width + 1)}
-        # <i|AB|i+p+q> collects <i|A|i+p><i+p|B|i+p+q> over the rows i for
-        # which all three entries exist; each diagonal is indexed from its
-        # first row, max(0, -offset).
-        for p, a in self.diagonals.items():
-            for q, b in other.diagonals.items():
-                s = p + q
-                lo, hi = max(0, -p, -s), min(n, n - p, n - s)
-                if lo < hi:
-                    ra, rb, rs = max(0, -p), max(0, -q) - p, max(0, -s)
-                    out[s][lo - rs:hi - rs] += a[lo - ra:hi - ra] * b[lo - rb:hi - rb]
+        n, wa, wb = self.basis_size, self.bandwidth, other.bandwidth
+        a, b = self.band, other.band
+        out = np.zeros((2 * (wa + wb) + 1, n), dtype=complex)
+        # <i|AB|i+p+q> collects <i|A|i+p><i+p|B|i+p+q>, in ascending p, over
+        # the columns i with i+p in the tower; where i+p+q leaves it, B is 0
+        for p in range(-wa, wa + 1):
+            lo, hi = max(0, -p), min(n, n - p)
+            out[p + wa:p + wa + 2 * wb + 1, lo:hi] += a[p + wa, lo:hi] * b[:, lo + p:hi + p]
+        cut = max(wa + wb - (n - 1), 0)  # the offsets beyond N-1 hold 0
         # Truncation corrupts the product only where the summed-over index
         # can reach the edge through either factor's band, so the margin
         # grows by the narrower bandwidth.
-        margin = max(self.trust_margin, other.trust_margin) + min(self.bandwidth, other.bandwidth)
-        return OperatorMatrix(out, n, margin)
+        margin = max(self.trust_margin, other.trust_margin) + min(wa, wb)
+        return OperatorMatrix(out[cut:out.shape[0] - cut], margin)
 
 
 def identity(n_basis: int) -> OperatorMatrix:
-    return OperatorMatrix({0: np.ones(n_basis)}, n_basis)
+    return OperatorMatrix(np.ones((1, n_basis), dtype=complex))
 
 
 def diag_operator(values, n_basis: int) -> OperatorMatrix:
-    return OperatorMatrix({0: values}, n_basis)
+    # a ValueError unless ``values`` holds n_basis entries
+    return OperatorMatrix(np.asarray(values, dtype=complex).reshape(1, n_basis))
 
 
 def energy_diag(params: ModelParams, n_basis: int, fn) -> OperatorMatrix:
@@ -284,7 +280,7 @@ def _folded_rule(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tridiagonal_block(psi: np.ndarray, wpsi: np.ndarray, weights: np.ndarray,
-                       image: np.ndarray, lo: int, hi: int, band: dict[int, np.ndarray],
+                       image: np.ndarray, lo: int, hi: int, band: np.ndarray,
                        defect: np.ndarray) -> None:
     """Columns lo .. hi-1 of the off-diagonals of the real odd operator T,
     T_mn = sum_q w_q psi_m T psi_n, and the three-term defect of each of
@@ -293,12 +289,13 @@ def _tridiagonal_block(psi: np.ndarray, wpsi: np.ndarray, weights: np.ndarray,
         ||T psi_n - T_{n-1,n} psi_{n-1} - T_{n+1,n} psi_{n+1}||_Q,
         ||f||_Q^2 = sum_q w_q f_q^2,
 
-    written into ``band`` (offsets -1 and 1) and ``defect``.  The nodes and
-    ``weights`` are the folded half of a mirrored rule: psi_m T psi_n is
-    even for |m - n| = 1, and so is the square of the three-term remainder,
-    whose terms all have the parity (-1)^(n+1), so each sum over the half
-    is the sum over the whole rule.  The diagonal T_nn has an odd integrand
-    and is exactly 0, so it is neither formed nor subtracted.
+    written into the (3, N) ``band`` (T_{n,n+1} at band[2, n], T_{n+1,n} at
+    band[0, n+1]) and ``defect``.  The nodes and ``weights`` are the folded
+    half of a mirrored rule: psi_m T psi_n is even for |m - n| = 1, and so
+    is the square of the three-term remainder, whose terms all have the
+    parity (-1)^(n+1), so each sum over the half is the sum over the whole
+    rule.  The diagonal T_nn has an odd integrand and is exactly 0, so it
+    is neither formed nor subtracted.
 
     ``psi`` holds the levels max(lo-1, 0) .. top, top = min(hi, N-1), the
     window of a `basis_blocks` block, ``wpsi`` the levels lo .. top of it
@@ -310,7 +307,7 @@ def _tridiagonal_block(psi: np.ndarray, wpsi: np.ndarray, weights: np.ndarray,
     of psi_{n-1}, psi_{n+1}; column N-1 has none, as psi_N is not in the
     table.  O(len(psi) len(weights)), with block-sized temporaries.
     """
-    upper, lower = band[1], band[-1]
+    upper, lower = band[2, :-1], band[0, 1:]  # both indexed by n
     top = min(hi, lower.size)  # the rows that couple to a next row
     own = psi[lo - max(lo - 1, 0):]  # levels lo .. top
     upper[lo:top] = np.einsum("ij,ij->i", wpsi[:top - lo], image[1:])
@@ -358,7 +355,8 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
     hbar, k = params.hbar, params.k
     deriv_factor = -hbar * k * c
     value_factor = 0.5 * hbar * k**2 * s
-    x_band, r_band = ({p: np.empty(n_basis - 1) for p in (-1, 1)} for _ in range(2))
+    # real bands; the diagonal row and the entries outside the tower stay 0
+    x_band, r_band = np.zeros((3, n_basis)), np.zeros((3, n_basis))
     x_defect, p_defect = np.empty(n_basis - 1), np.empty(n_basis - 1)
     for lo, hi, psi, image in basis_blocks(params, n_basis, s, c):
         own = slice(lo - max(lo - 1, 0), None)  # the levels lo .. top of the window
@@ -369,8 +367,7 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
         _tridiagonal_block(psi, wpsi, weights, image, lo, hi, r_band, p_defect)
         np.multiply(psi[own], s, out=image)
         _tridiagonal_block(psi, wpsi, weights, image, lo, hi, x_band, x_defect)
-    # the diagonals, absent from the bands, are filled with exact zeros
-    p_op = OperatorMatrix({p: 1j * v for p, v in r_band.items()}, n_basis)
+    p_op = OperatorMatrix(1j * r_band)
     resid = max(p_op.hermiticity_residual(), float(np.max(p_defect)))
     scale = hbar * k**2
     if resid > 1e-8 * scale:
@@ -378,7 +375,7 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
             f"momentum matrix fails Hermiticity at {resid:.3e} ({resid / scale:.3e} of "
             f"hbar k^2); increase the quadrature order"
         )
-    return OperatorMatrix(x_band, n_basis), p_op, x_defect, p_defect
+    return OperatorMatrix(x_band), p_op, x_defect, p_defect
 
 
 def build_X(params: ModelParams, n_basis: int, rule: QuadratureRule) -> OperatorMatrix:

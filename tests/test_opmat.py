@@ -14,6 +14,7 @@ whose n = 0 value is identically 1 for every nu >= 1.
 """
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -75,14 +76,18 @@ def test_operator_matrix_shape_validation():
     with pytest.raises(ValueError):
         OperatorMatrix.from_dense(np.zeros((3, 3)), 4)
     with pytest.raises(ValueError):
-        OperatorMatrix({0: np.ones(3), 1: np.ones(3)}, 3)  # diagonal 1 has 2 entries
+        OperatorMatrix(np.ones((2, 3)))  # an even row count has no diagonal row
     with pytest.raises(ValueError):
-        OperatorMatrix({3: np.ones(0)}, 3)  # no offset 3 in a 3 x 3 matrix
+        OperatorMatrix(np.ones((7, 3)))  # 2w+1 > 2N-1: no offset 3 in a 3 x 3 matrix
+    with pytest.raises(ValueError):
+        OperatorMatrix(np.ones(3))  # one row is not a band
 
 
 def test_missing_diagonals_inside_the_band_are_zero():
-    op = OperatorMatrix({2: [1.0]}, 3)
-    assert op.bandwidth == 2
+    band = np.zeros((5, 3))
+    band[4, 0] = 1.0  # <0|A|2>
+    op = OperatorMatrix(band)
+    assert (op.basis_size, op.bandwidth) == (3, 2)
     assert np.array_equal(op.trusted(), [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
 
 
@@ -96,6 +101,15 @@ def test_trusted_block_margins():
     assert np.array_equal(op.diagonal(-1, 2), [4.0])
     with pytest.raises(ValueError):
         op.trusted(4)
+
+
+def test_diagonal_outside_the_band_is_rejected():
+    # band row w + offset would wrap to another diagonal at offset < -w
+    op = OperatorMatrix.from_dense(np.arange(25.0).reshape(5, 5), 5, bandwidth=2)
+    for offset in (-3, 3):
+        with pytest.raises(ValueError, match=f"offset {offset} "):
+            op.diagonal(offset)
+    assert np.array_equal(op.diagonal(-2), [10.0, 16.0, 22.0])
 
 
 def test_product_margin_rule():
@@ -126,7 +140,14 @@ def test_bandwidth_capped_at_size():
 
 def _dense(op: OperatorMatrix) -> np.ndarray:
     """Every entry of ``op``, its truncation margin ignored."""
-    return sum(np.diag(v, p) for p, v in op.diagonals.items())
+    n, w = op.basis_size, op.bandwidth
+    return sum(np.diag(op.band[w + p, max(0, -p):n - max(0, p)], p) for p in range(-w, w + 1))
+
+
+def _outside_tower(op: OperatorMatrix) -> np.ndarray:
+    """The band entries whose column i+p lies outside the tower."""
+    cols = np.arange(op.basis_size) + np.arange(-op.bandwidth, op.bandwidth + 1)[:, None]
+    return op.band[(cols < 0) | (cols >= op.basis_size)]
 
 
 def _integer_band(rng, n_basis: int, width: int) -> OperatorMatrix:
@@ -148,23 +169,54 @@ def test_band_algebra_is_exact_on_integers(n_basis, left, right):
     a = _integer_band(rng, n_basis, left)
     b = _integer_band(rng, n_basis, right)
     da, db = _dense(a), _dense(b)
-    assert np.array_equal(_dense(a @ b), da @ db)
-    assert np.array_equal(_dense(a + b), da + db)
-    assert np.array_equal(_dense(a - b), da - db)
-    assert np.array_equal(_dense(3 * a), 3 * da)
-    assert np.array_equal(_dense(-a), -da)
-    assert np.array_equal(_dense(a.adjoint()), da.conj().T)
+    results = {"@": (a @ b, da @ db), "+": (a + b, da + db), "-": (a - b, da - db),
+               "3*": (3 * a, 3 * da), "neg": (-a, -da), "adjoint": (a.adjoint(), da.conj().T)}
+    for name, (op, dense) in results.items():
+        assert np.array_equal(_dense(op), dense), name
+        assert np.all(_outside_tower(op) == 0.0), name
     assert np.array_equal(a.trusted(), da)
     assert a.max_abs() == np.max(np.abs(da))
     assert a.hermiticity_residual() == np.max(np.abs(da - da.conj().T))
+    # on a trusted block smaller than the tower, as the dense block [:N-m, :N-m]
+    for m in (1, 2):
+        if n_basis - m >= 1:
+            block = da[:n_basis - m, :n_basis - m]
+            assert a.max_abs(m) == np.max(np.abs(block))
+            assert a.hermiticity_residual(m) == np.max(np.abs(block - block.conj().T))
     assert (a @ b).bandwidth == min(a.bandwidth + b.bandwidth, n_basis - 1)
+
+
+@pytest.mark.parametrize("triple", [(1e16, 1.0, -1e16), (1.0, 1e16, -1e16)])
+def test_products_accumulate_in_ascending_offset(triple):
+    # A tridiagonal with (A[i,i-1], A[i,i], A[i,i+1]) = triple, B all ones:
+    # every product is exact, so an entry of A @ B shows only the order in
+    # which its terms A[i,i+p] are summed.  It is ascending p, the order the
+    # bit identity of the residual sweep rests on.
+    n_basis = 6
+    band = np.zeros((3, n_basis))
+    band[0, 1:], band[1], band[2, :-1] = triple
+    product = OperatorMatrix(band) @ OperatorMatrix.from_dense(np.ones((n_basis, n_basis)), n_basis)
+
+    def ascending(terms):
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
+
+    rows = [[t for p, t in zip((-1, 0, 1), triple) if 0 <= i + p < n_basis] for i in range(n_basis)]
+    got = product.diagonal(0)
+    assert np.array_equal(got, [ascending(terms) for terms in rows[:got.size]])
+    # the terms of an inner row tell some other order apart
+    assert any(ascending(order) != ascending(rows[1]) for order in itertools.permutations(rows[1]))
 
 
 def test_band_algebra_never_goes_dense():
     # at N = 2000 a dense complex N x N array takes 64 MB
     n_basis = 2000
     ramp = np.arange(1.0, n_basis)
-    b = OperatorMatrix({-1: np.zeros(n_basis - 1), 1: ramp}, n_basis)
+    band = np.zeros((3, n_basis))
+    band[2, :-1] = ramp
+    b = OperatorMatrix(band)
     bplus = b.adjoint()
     h = diag_operator(np.arange(n_basis) ** 2.0, n_basis)
     one = identity(n_basis)
@@ -289,7 +341,7 @@ def test_x_and_p_are_the_per_state_quadrature(n_basis, nu):
         size = np.abs(psi * rule.weights) @ np.abs(image).T
         assert band.bandwidth == 1
         for off in (-1, 0, 1):
-            v = band.diagonals[off]
+            v = band.diagonal(off)
             assert np.all(v.imag == 0.0)
             assert np.all(np.abs(v.real - np.diagonal(ref, off)) <= gamma * np.diagonal(size, off))
     # the set holds the same bands, as build_X and build_P do
@@ -297,7 +349,7 @@ def test_x_and_p_are_the_per_state_quadrature(n_basis, nu):
     for built, ref in ((ops.X, x_op), (build_X(params, n_basis, rule), x_op),
                        (ops.P, p_op), (build_P(params, n_basis, rule), p_op)):
         assert built.bandwidth == 1
-        assert all(np.array_equal(built.diagonals[off], ref.diagonals[off]) for off in (-1, 0, 1))
+        assert np.array_equal(built.band, ref.band)
 
 
 def _dense_off_band(params, n_basis, rule, keep):
@@ -370,8 +422,8 @@ def _three_term_remainder(psi, image, lower, upper, lo, top):
 
 
 def _whole_table_band(psi, weights, image):
-    """The off-diagonals and defects of `_tridiagonal_block`, read from
-    whole N x Q tables in the same 32-row blocks; the diagonal is 0."""
+    """The (3, N) real band and the defects of `_tridiagonal_block`, read
+    from whole N x Q tables in the same 32-row blocks; the diagonal is 0."""
     n = psi.shape[0]
     upper, lower = np.empty(n - 1), np.empty(n - 1)
     defect = np.empty(n - 1)
@@ -383,7 +435,9 @@ def _whole_table_band(psi, weights, image):
         resid = _three_term_remainder(psi, image, lower, upper, lo, top)
         resid *= resid
         defect[lo:top] = np.sqrt(resid @ weights)
-    return {-1: lower, 0: np.zeros(n), 1: upper}, defect
+    band = np.zeros((3, n))
+    band[0, 1:], band[2, :-1] = lower, upper
+    return band, defect
 
 
 STREAM_SIZES = [8, 31, 32, 33, 34, 64, 65, 97, 480]
@@ -421,9 +475,8 @@ def test_streamed_quadrature_is_the_whole_table_route(n_basis, params):
     x_band, x_defect = _whole_table_band(psi, weights, x_image)
     r_band, p_defect = _whole_table_band(psi, weights, r_image)
     x_op, p_op, got_x_defect, got_p_defect = quadrature_XP(params, n_basis, rule)
-    for off in (-1, 0, 1):
-        assert np.array_equal(x_op.diagonals[off], x_band[off])
-        assert np.array_equal(p_op.diagonals[off], 1j * r_band[off])
+    assert np.array_equal(x_op.band, x_band)
+    assert np.array_equal(p_op.band, 1j * r_band)
     assert np.array_equal(got_x_defect, x_defect)
     assert np.array_equal(got_p_defect, p_defect)
 
@@ -463,9 +516,9 @@ def test_folded_bands_are_the_whole_rule_sums(order, nu):
     wpsi = psi * rule.weights
     for op, image, defect in zip((x_op, -1j * p_op), _images(params, psi, dpsi, rule.nodes),
                                  (x_defect, p_defect)):
-        assert all(np.all(op.diagonals[off].imag == 0.0) for off in (-1, 0, 1))
-        assert np.all(op.diagonals[0] == 0.0)
-        lower, upper = op.diagonals[-1].real, op.diagonals[1].real
+        assert np.all(op.band.imag == 0.0)
+        assert np.all(op.diagonal(0) == 0.0)
+        lower, upper = op.diagonal(-1).real, op.diagonal(1).real
         whole_upper = np.einsum("ij,ij->i", wpsi[:-1], image[1:])
         whole_lower = np.einsum("ij,ij->i", wpsi[1:], image[:-1])
         resid = _three_term_remainder(psi, image, lower, upper, 0, n_basis - 1)
@@ -576,9 +629,9 @@ def test_x_matrix_closed_form(nu):
     params, rule, *_ = operators(nu)
     x_op, _, x_defect, _ = quadrature_XP(params, N, rule)
     closed = _closed_x(nu, N)
-    assert float(np.max(np.abs(x_op.diagonals[0]))) < 1e-10
-    assert float(np.max(np.abs(x_op.diagonals[1] - closed))) < 1e-10
-    assert float(np.max(np.abs(x_op.diagonals[-1] - closed))) < 1e-10
+    assert float(np.max(np.abs(x_op.diagonal(0)))) < 1e-10
+    assert float(np.max(np.abs(x_op.diagonal(1) - closed))) < 1e-10
+    assert float(np.max(np.abs(x_op.diagonal(-1) - closed))) < 1e-10
     assert float(np.max(x_defect)) < 1e-10
     assert x_op.hermiticity_residual() < 1e-10
 
@@ -591,9 +644,9 @@ def test_p_matrix_closed_form(nu):
     _, p_op, _, p_defect = quadrature_XP(params, N, rule)
     n = np.arange(N - 1)
     p_band = -1j * (params.hbar * params.k**2 / 2.0) * (2.0 * (n + nu) + 1.0) * _closed_x(nu, N)
-    assert float(np.max(np.abs(p_op.diagonals[0]))) < 1e-10
-    assert float(np.max(np.abs(p_op.diagonals[1] - p_band))) < 1e-10
-    assert float(np.max(np.abs(p_op.diagonals[-1] - p_band.conj()))) < 1e-10
+    assert float(np.max(np.abs(p_op.diagonal(0)))) < 1e-10
+    assert float(np.max(np.abs(p_op.diagonal(1) - p_band))) < 1e-10
+    assert float(np.max(np.abs(p_op.diagonal(-1) - p_band.conj()))) < 1e-10
     assert float(np.max(p_defect)) < 1e-10
     assert p_op.hermiticity_residual() < 1e-10
 
@@ -613,9 +666,9 @@ def test_xp_closed_form(n_basis, params):
     x_closed = _closed_x(nu, n_basis)
     d1 = eps * (1.0 + 2.0 * (np.arange(n_basis) + nu))
     alphas = np.array([alpha(params, n) for n in range(1, n_basis)])
-    ihm_p = {off: (1j * params.hbar / params.mass) * v for off, v in p_op.diagonals.items()}
+    ihm_p = {off: (1j * params.hbar / params.mass) * p_op.diagonal(off) for off in (-1, 0, 1)}
     p_closed = {1: 2.0 * eps * alphas - x_closed * d1[1:], 0: 0.0, -1: -x_closed * d1[:-1]}
-    x_err = max(float(np.max(np.abs(x_op.diagonals[off] - (0.0 if off == 0 else x_closed))))
+    x_err = max(float(np.max(np.abs(x_op.diagonal(off) - (0.0 if off == 0 else x_closed))))
                 for off in (-1, 0, 1))
     p_err = max(float(np.max(np.abs(ihm_p[off] - p_closed[off]))) for off in (-1, 0, 1))
     assert x_err < 1e-12 * float(np.max(x_closed))
@@ -697,8 +750,9 @@ def test_structure_residuals_match_the_full_width_operators(n_basis, nu, perturb
         rng = np.random.default_rng(n_basis)
 
         def noise():
-            return OperatorMatrix({off: 1e-6 * rng.standard_normal(n_basis - abs(off))
-                                   for off in (-1, 1)}, n_basis)
+            band = np.zeros((3, n_basis))
+            band[0, 1:], band[2, :-1] = 1e-6 * rng.standard_normal((2, n_basis - 1))
+            return OperatorMatrix(band)
 
         x_op, p_op = ops.X + noise(), ops.P + noise() + 1j * noise()
         ops = OperatorSet(x_op, p_op, ops.H, *assemble_b(params, x_op, p_op, ops.H),
@@ -750,7 +804,7 @@ def test_structure_residuals_need_a_trusted_block():
 
 def test_x01_reference_value():
     _, _, x_op, _, _, _, _ = operators(2.0)
-    assert x_op.diagonals[1][0].real == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-12)
+    assert x_op.diagonal(1)[0].real == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-12)
 
 
 def test_h_is_the_spectrum():
@@ -899,7 +953,7 @@ def test_su11_defining_relations(nu):
 def test_su11_jplus_reference_entry():
     params, _, _, _, h_op, b_op, bplus_op = operators(2.0)
     _, jp, _ = build_su11(params, b_op, bplus_op, h_op)
-    assert jp.diagonals[-1][0].real == pytest.approx(2.0, abs=1e-9)  # sqrt((0+1)(0+4))
+    assert jp.diagonal(-1)[0].real == pytest.approx(2.0, abs=1e-9)  # sqrt((0+1)(0+4))
 
 
 # ---------------------------------------------------------------------------
