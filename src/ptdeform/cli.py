@@ -46,6 +46,7 @@ from .algebra import (
 from .opmat import (
     MAX_QUADRATURE_ORDER,
     TRUST_MARGIN,
+    WAVEFUNCTION_STATES,
     bplus_second_form,
     build_X,  # noqa: F401  (perfbench/tests/test_spans.py patches it in this namespace)
     build_su11,
@@ -61,16 +62,15 @@ from .opmat import (
     structure_residuals,
     su11_ordering_residual,
     su11_residuals,
-    wavefunction_residuals,
+    wavefunction_checks,
 )
 from .specfun import gauss_legendre
 from .wavefun import (
     chebyshev_points,
     closed_form_states,
     ladder_climb,
-    ladder_table,
     psi_form_tables,
-    psi_second_deriv_table,
+    sample_tables,
     square_well_state,
 )
 
@@ -145,7 +145,8 @@ def _check_strength(params: ModelParams, basis_size: int, flag: str) -> None:
     if quadrature_floor(params, basis_size) > cap:
         raise ValueError(
             f"nu = {params.nu:.6g} at N = {basis_size} puts the quadrature floor "
-            f"ceil(2N + 2nu + 10) above the maximum {cap}; lower {flag} or --basis-size"
+            f"ceil(2 max(N, {WAVEFUNCTION_STATES}) + 2nu + 10) above the maximum {cap}; lower "
+            f"{flag} or --basis-size"
         )
 
 
@@ -174,7 +175,9 @@ def _check_nu_list(nu_values: list[float], basis_size: int, order: int) -> None:
 
 
 def _effective_order(quadrature_order: int | None, basis_size: int) -> int:
-    return quadrature_order if quadrature_order is not None else 2 * basis_size + 60
+    if quadrature_order is not None:
+        return quadrature_order
+    return 2 * max(basis_size, WAVEFUNCTION_STATES) + 60
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,7 @@ class RunConfig:
             raise ValueError(
                 f"quadrature order {order} is above the maximum {MAX_QUADRATURE_ORDER}; "
                 f"lower --quadrature-order or --basis-size (the default order is "
-                f"2 * basis_size + 60)"
+                f"2 * max(basis_size, {WAVEFUNCTION_STATES}) + 60)"
             )
 
     def params(self) -> ModelParams:
@@ -456,22 +459,20 @@ def _verification(config: RunConfig, params: ModelParams, grid: _Background,
         scale = float(np.max(np.abs(coeffs)))
         ladder_resid = max(ladder_resid, float(np.max(np.abs(ladder - coeffs))) / scale)
     checks.append(("ladder_vs_closed_form", ladder_resid))
-    checks.extend(wavefunction_residuals(params, 21, rule).items())
+    checks.extend(wavefunction_checks(params, rule).items())
 
-    # psi, the lowering action and psi'' of the sampled states, from tables
+    # psi, the lowering action, psi'' and the Legendre form of the sampled
+    # states, from one table fill
     points = chebyshev_points(params, 100)
-    psi, lower, _ = ladder_table(params, 11, points)
-    checks.append(("ground_state_annihilation", float(np.max(np.abs(lower[0])))))
-    leg = psi_form_tables(params, 11, points)[1]
-    checks.append(("legendre_form_pointwise", float(np.max(np.abs(psi - leg)))))
+    sampled = sample_tables(params, 11, points)
+    psi = sampled.psi
+    checks.append(("ground_state_annihilation", float(np.max(np.abs(sampled.lower[0])))))
+    checks.append(("legendre_form_pointwise", float(np.max(np.abs(psi - sampled.legendre)))))
 
-    d2psi = psi_second_deriv_table(params, 11, points)
+    potential = params.v0 / np.cos(params.k * points) ** 2
     schro = 0.0
     for n in range(11):
-        h_psi = (
-            -params.hbar**2 / (2.0 * params.mass) * d2psi[n]
-            + params.v0 / np.cos(params.k * points) ** 2 * psi[n]
-        )
+        h_psi = -params.hbar**2 / (2.0 * params.mass) * sampled.d2psi[n] + potential * psi[n]
         schro = max(schro, float(np.max(np.abs(h_psi - e[n] * psi[n])))
                     / (abs(e[n]) * float(np.max(np.abs(psi[n])))))
     checks.append(("schrodinger_residual", schro))
@@ -685,7 +686,8 @@ def _add_model_flags(parser: argparse.ArgumentParser, require_strength: bool) ->
     parser.add_argument("--k", type=float, default=1.0)
     parser.add_argument("--basis-size", type=int, default=30)
     parser.add_argument("--quadrature-order", type=int, default=None,
-                        help="Gauss-Legendre order (default 2*basis_size + 60)")
+                        help=f"Gauss-Legendre order "
+                             f"(default 2*max(basis_size, {WAVEFUNCTION_STATES}) + 60)")
     parser.add_argument("--grid-points", type=int, default=2000)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")

@@ -9,10 +9,13 @@ an operator as one band array of its 2w+1 diagonals, w its ``bandwidth``,
 so a product costs O(N w1 w2) and a sum or a norm O(N w).  `quadrature_XP`
 forms only the two off-diagonals of X and P, and for each column the
 three-term defect that measures what quadrature puts off the band, in one
-O(N Q / 2) pass over the nonnegative half of a mirrored rule: no N x Q
-table and no N x N array is formed.  `operator_set`, the one builder of
-the X/P/H/b/b+ set, keeps the defects beside the bands for the structure
-checks of `structure_residuals`.
+O(N Q / 2) pass over the nonnegative half of a mirrored rule whose rows
+carry the root of the weight: no N x Q table and no N x N array is
+formed.  `operator_set`, the one builder of the X/P/H/b/b+ set, keeps
+the defects beside the bands for the structure checks of
+`structure_residuals`.  `wavefunction_checks` reads the Gram and
+adjointness defects of the lowest 21 states from one block of the same
+root-weighted rows on the same folded half.
 
 Because the basis is truncated at ``basis_size``, entries near the edge
 of a product matrix are contaminated by the missing tail of the sum.
@@ -37,7 +40,7 @@ from .algebra import (
     h_of,
 )
 from .specfun import QuadratureRule, tridiagonal_lowest
-from .wavefun import basis_blocks, ladder_table
+from .wavefun import BLOCK_ROWS, basis_blocks
 
 __all__ = [
     "QuadratureOrderError",
@@ -48,6 +51,7 @@ __all__ = [
     "energy_diag",
     "TRUST_MARGIN",
     "MAX_QUADRATURE_ORDER",
+    "WAVEFUNCTION_STATES",
     "quadrature_floor",
     "quadrature_XP",
     "build_X",
@@ -65,7 +69,7 @@ __all__ = [
     "build_su11",
     "su11_residuals",
     "su11_ordering_residual",
-    "wavefunction_residuals",
+    "wavefunction_checks",
     "build_grid_hamiltonian",
     "grid_spectrum",
 ]
@@ -242,10 +246,17 @@ def energy_diag(params: ModelParams, n_basis: int, fn) -> OperatorMatrix:
     return diag_operator(fn(params, energy(params, np.arange(n_basis))), n_basis)
 
 
+# The levels whose Gram and adjointness defects `wavefunction_checks` reads
+# by quadrature, at every N: the rule of a basis of N states integrates at
+# least this many.
+WAVEFUNCTION_STATES = 21
+
+
 def quadrature_floor(params: ModelParams, n_basis: int) -> int | float:
     """The lowest quadrature order the X/P matrices of the lowest ``n_basis``
-    states accept, ceil(2N + 2 nu + 10); infinite where 2 nu overflows."""
-    floor = 2 * n_basis + 2 * params.nu + 10
+    states and the `WAVEFUNCTION_STATES` states of the wavefunction checks
+    accept, ceil(2 max(N, 21) + 2 nu + 10); infinite where 2 nu overflows."""
+    floor = 2 * max(n_basis, WAVEFUNCTION_STATES) + 2 * params.nu + 10
     return math.ceil(floor) if math.isfinite(floor) else floor
 
 
@@ -255,7 +266,8 @@ def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None
     needed = quadrature_floor(params, n_basis)
     if rule.order < needed:
         raise QuadratureOrderError(
-            f"quadrature order {rule.order} is below the required {needed} for N = {n_basis}"
+            f"quadrature order {rule.order} is below the required {needed} for N = {n_basis} "
+            f"(ceil(2 max(N, {WAVEFUNCTION_STATES}) + 2nu + 10))"
         )
     a, b = params.box
     if not (math.isclose(rule.interval[0], a, rel_tol=1e-9, abs_tol=1e-12)
@@ -279,9 +291,20 @@ def _folded_rule(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     return rule.nodes[half:], weights
 
 
-def _tridiagonal_block(psi: np.ndarray, wpsi: np.ndarray, weights: np.ndarray,
-                       image: np.ndarray, lo: int, hi: int, band: np.ndarray,
-                       defect: np.ndarray) -> None:
+def _root_weighted_columns(params: ModelParams, rule: QuadratureRule
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """At the nodes of the folded half of ``rule``: X = sin(kx), the root
+    weight u = sqrt(w) cos^nu(kx) that turns the polynomial rows phi_n of
+    `basis_blocks` into sqrt(w) psi_n, and u (1 - X^2), the factor of the
+    rows phi_n' in the derivative forms."""
+    nodes, weights = _folded_rule(rule)
+    s = np.sin(params.k * nodes)
+    root = np.sqrt(weights) * np.cos(params.k * nodes) ** params.nu
+    return s, root, root * (1.0 - s * s)
+
+
+def _tridiagonal_block(rows: np.ndarray, image: np.ndarray, lo: int, hi: int,
+                       band: np.ndarray, defect: np.ndarray, scratch: np.ndarray) -> None:
     """Columns lo .. hi-1 of the off-diagonals of the real odd operator T,
     T_mn = sum_q w_q psi_m T psi_n, and the three-term defect of each of
     them up to column N-2,
@@ -290,33 +313,38 @@ def _tridiagonal_block(psi: np.ndarray, wpsi: np.ndarray, weights: np.ndarray,
         ||f||_Q^2 = sum_q w_q f_q^2,
 
     written into the (3, N) ``band`` (T_{n,n+1} at band[2, n], T_{n+1,n} at
-    band[0, n+1]) and ``defect``.  The nodes and ``weights`` are the folded
-    half of a mirrored rule: psi_m T psi_n is even for |m - n| = 1, and so
-    is the square of the three-term remainder, whose terms all have the
-    parity (-1)^(n+1), so each sum over the half is the sum over the whole
-    rule.  The diagonal T_nn has an odd integrand and is exactly 0, so it
+    band[0, n+1]) and ``defect``.  The rows carry the root of the weight,
+    ``rows`` holding sqrt(w_q) psi_m and ``image`` sqrt(w_q) T psi_n at the
+    nodes of the folded half of a mirrored rule (see `quadrature_XP`), so an
+    entry is a plain dot product of two rows and a defect the root of a
+    row's sum of squares.  The diagonal T_nn is exactly 0 by parity, so it
     is neither formed nor subtracted.
 
-    ``psi`` holds the levels max(lo-1, 0) .. top, top = min(hi, N-1), the
-    window of a `basis_blocks` block, ``wpsi`` the levels lo .. top of it
-    times ``weights``, and ``image`` the images T psi_n of the levels lo ..
-    top; T_{lo-1,lo} must already be in ``band``.
+    ``rows`` holds the levels max(lo-1, 0) .. top, top = min(hi, N-1), the
+    window of a `basis_blocks` block, and ``image`` the images of the
+    levels lo .. top; T_{lo-1,lo} must already be in ``band``.  ``scratch``
+    holds two arrays of at least (top - lo) rows of len(nodes).
 
     T_{n,n+1} and T_{n+1,n} are separate sums, so their difference measures
     Hermiticity.  The defect vanishes exactly when T psi_n lies in the span
     of psi_{n-1}, psi_{n+1}; column N-1 has none, as psi_N is not in the
-    table.  O(len(psi) len(weights)), with block-sized temporaries.
+    table.
     """
     upper, lower = band[2, :-1], band[0, 1:]  # both indexed by n
     top = min(hi, lower.size)  # the rows that couple to a next row
-    own = psi[lo - max(lo - 1, 0):]  # levels lo .. top
-    upper[lo:top] = np.einsum("ij,ij->i", wpsi[:top - lo], image[1:])
-    lower[lo:top] = np.einsum("ij,ij->i", wpsi[1:], image[:top - lo])
-    resid = image[:top - lo] - lower[lo:top, None] * own[1:]
+    count = top - lo
+    own = rows[lo - max(lo - 1, 0):]  # levels lo .. top
+    upper[lo:top] = np.einsum("ij,ij->i", own[:count], image[1:])
+    lower[lo:top] = np.einsum("ij,ij->i", own[1:], image[:count])
+    # each row times its coefficient; einsum needs no buffer for the
+    # broadcast, where np.multiply takes a 64 KB one
+    resid, term = scratch[0, :count], scratch[1, :count]
+    np.einsum("ij,i->ij", own[1:], lower[lo:top], out=resid)
+    np.subtract(image[:count], resid, out=resid)
     first = max(lo, 1)  # psi_{-1} does not exist
-    resid[first - lo:] -= upper[first - 1:top - 1, None] * psi[:top - first]
-    resid *= resid
-    defect[lo:top] = np.sqrt(resid @ weights)
+    np.einsum("ij,i->ij", rows[:top - first], upper[first - 1:top - 1], out=term[first - lo:])
+    resid[first - lo:] -= term[first - lo:]
+    defect[lo:top] = np.sqrt(np.einsum("ij,ij->i", resid, resid))
 
 
 def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
@@ -329,12 +357,16 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
     Both operators are tridiagonal on the exact tower, so the defects
     measure what quadrature puts off the band; no off-band entry is formed.
     P applies p = -i hbar d/dx literally to the exact closed-form
-    derivative of each state.  In this real basis P = i R with R real,
+    derivative of each state.  In this real basis P = i R with R real; with
+    psi_n = c^nu phi_n(X), c = cos(kx), X = sin(kx),
 
-        R psi = hbar k [ (k/2) sin(kx) psi - cos(kx) psi' ],
+        R psi = hbar k [ (k/2) X psi - c psi' ]
+              = hbar k^2 c^nu [ (nu + 1/2) X phi - (1 - X^2) phi' ],
 
-    so the band is read from the real images R psi, built in the storage of
-    the block's psi', which the images sin(kx) psi of X then reuse.
+    phi' from the nu+1 family of the stream.  Each block's rows carry the
+    root of the folded weight, u_q = sqrt(w_q) c_q^nu: the rows u phi_n, the
+    X images X u phi_n and the R images are formed once per block, and each
+    band entry and defect is a plain reduction of them.
 
     psi_n has parity (-1)^n, and X and R are odd, so both couple only
     levels of opposite parity: the diagonals are exactly 0, and the
@@ -349,27 +381,30 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
     the scale of P, which signals an inadequate rule.
     """
     _check_rule(params, n_basis, rule)
-    nodes, weights = _folded_rule(rule)
-    s = np.sin(params.k * nodes)
-    c = np.cos(params.k * nodes)
-    hbar, k = params.hbar, params.k
-    deriv_factor = -hbar * k * c
-    value_factor = 0.5 * hbar * k**2 * s
+    s, root, root_edge = _root_weighted_columns(params, rule)
+    scale = params.hbar * params.k**2
+    # R u phi = scale (nu + 1/2) X u phi - scale u (1 - X^2) phi'
+    value_factor = (scale * (params.nu + 0.5)) * s
+    deriv_factor = scale * root_edge
     # real bands; the diagonal row and the entries outside the tower stay 0
     x_band, r_band = np.zeros((3, n_basis)), np.zeros((3, n_basis))
     x_defect, p_defect = np.empty(n_basis - 1), np.empty(n_basis - 1)
-    for lo, hi, psi, image in basis_blocks(params, n_basis, s, c):
+    # the images of a block's own levels, and the scratch of its reductions
+    x_images, r_images = np.empty((2, min(BLOCK_ROWS + 1, n_basis), s.size))
+    scratch = np.empty((2, min(BLOCK_ROWS, n_basis - 1), s.size))
+    for lo, hi, rows, dphi in basis_blocks(params, n_basis, s):
+        rows *= root
         own = slice(lo - max(lo - 1, 0), None)  # the levels lo .. top of the window
-        wpsi = psi[own] * weights  # shared by the R and X sums
-        image = image[own]
-        image *= deriv_factor
-        image += value_factor * psi[own]
-        _tridiagonal_block(psi, wpsi, weights, image, lo, hi, r_band, p_defect)
-        np.multiply(psi[own], s, out=image)
-        _tridiagonal_block(psi, wpsi, weights, image, lo, hi, x_band, x_defect)
+        x_image, r_image = x_images[:len(rows) - own.start], r_images[:len(rows) - own.start]
+        np.multiply(rows[own], s, out=x_image)
+        np.multiply(rows[own], value_factor, out=r_image)
+        edge = dphi[own]
+        edge *= deriv_factor
+        r_image -= edge
+        _tridiagonal_block(rows, r_image, lo, hi, r_band, p_defect, scratch)
+        _tridiagonal_block(rows, x_image, lo, hi, x_band, x_defect, scratch)
     p_op = OperatorMatrix(1j * r_band)
     resid = max(p_op.hermiticity_residual(), float(np.max(p_defect)))
-    scale = hbar * k**2
     if resid > 1e-8 * scale:
         raise QuadratureOrderError(
             f"momentum matrix fails Hermiticity at {resid:.3e} ({resid / scale:.3e} of "
@@ -599,20 +634,47 @@ def su11_ordering_residual(params: ModelParams, bplus: OperatorMatrix,
     return (bplus @ right - left @ bplus).max_abs(margin)
 
 
-def wavefunction_residuals(params: ModelParams, n_states: int,
-                           rule: QuadratureRule) -> dict[str, float]:
-    """Quadrature checks of the lowest ``n_states`` levels, read from one
-    `ladder_table` at the nodes of ``rule``: the Gram defect
-    max |<psi_m|psi_n> - delta_mn|, and the adjointness defect
-    max |<psi_m|b psi_n> - <b+ psi_m|psi_n>| of the differential ladder
-    forms.  Both vanish up to rounding and quadrature error."""
-    psi, lower, upper = ladder_table(params, n_states, rule.nodes)
-    weighted = psi * rule.weights
-    return {
-        "gram_identity": float(np.max(np.abs(weighted @ psi.T - np.eye(n_states)))),
-        "adjointness_quadrature": float(np.max(np.abs(
-            weighted @ lower.T - (upper * rule.weights) @ psi.T))),
-    }
+def wavefunction_checks(params: ModelParams, rule: QuadratureRule) -> dict[str, float]:
+    """The Gram defect max |<psi_m|psi_n> - delta_mn| and the adjointness
+    defect max |<psi_m|b psi_n> - <b+ psi_m|psi_n>| of the lowest
+    `WAVEFUNCTION_STATES` levels by quadrature with ``rule``, with b and b+
+    the differential ladder forms of `wavefun.sample_tables`.  Both vanish
+    up to rounding and quadrature error.
+
+    One `basis_blocks` block on the folded half of the rule gives the
+    root-weighted rows u phi_n of `quadrature_XP`, u = sqrt(w) cos^nu(kx),
+    and phi_n'.  With c = cos(kx) and X = sin(kx) the ladder forms read
+
+        b psi_n  = c^nu [(1 - X^2) phi_n' + n X phi_n],
+        b+ psi_n = (n+nu+1)/(n+nu) c^nu [(n + 2 nu) X phi_n - (1 - X^2) phi_n'],
+
+    so each overlap is a sum of overlaps of the rows u phi, X u phi and
+    u (1 - X^2) phi'.  psi_n has parity (-1)^n and both ladder forms
+    (-1)^(n+1), so only the overlaps between levels of equal parity (Gram)
+    or of opposite parity (adjointness) are even and summed on the half;
+    the others are exactly 0.
+    """
+    n_states = WAVEFUNCTION_STATES
+    _check_rule(params, n_states, rule)
+    s, root, root_edge = _root_weighted_columns(params, rule)
+    _, _, psi, dphi = next(basis_blocks(params, n_states, s))  # the block holds every level
+    psi *= root
+    x_psi = np.einsum("ij,j->ij", psi, s)
+    edge = np.einsum("ij,j->ij", dphi, root_edge)
+    n = np.arange(n_states, dtype=float)
+    raising = (n + params.nu + 1.0) / (n + params.nu)
+    gram = adjoint = 0.0
+    for parity in (0, 1):
+        same, other = slice(parity, None, 2), slice(1 - parity, None, 2)
+        overlap = psi[same] @ psi[same].T
+        overlap[np.diag_indices_from(overlap)] -= 1.0
+        gram = max(gram, float(np.max(np.abs(overlap))))
+        # <psi_m|b psi_n> and <b+ psi_m|psi_n> for m of this parity, n of the other
+        lowered = psi[same] @ edge[other].T + (psi[same] @ x_psi[other].T) * n[other]
+        raised = ((n[same, None] + 2.0 * params.nu) * (x_psi[same] @ psi[other].T)
+                  - edge[same] @ psi[other].T) * raising[same, None]
+        adjoint = max(adjoint, float(np.max(np.abs(lowered - raised))))
+    return {"gram_identity": gram, "adjointness_quadrature": adjoint}
 
 
 @dataclass(frozen=True)

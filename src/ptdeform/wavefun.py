@@ -10,19 +10,21 @@ through its associated Legendre representation, the Ferrers function
 written through its Gegenbauer connection with one log-space constant.
 Derivatives follow from d/dX C_j^(nu) = 2 nu C_{j-1}^(nu+1), so pointwise
 residuals of differential identities probe only floating-point rounding.
-`basis_blocks` streams psi and psi' of the lowest levels in 32-row blocks,
-advancing C^(nu) and C^(nu+1) in one stacked recurrence; `basis_table`
-stacks them into row tables, and `ladder_table` adds the ladder actions
-b psi_n = alpha_n psi_{n-1}, b+ psi_n = alpha_{n+1} psi_{n+1};
-`psi_form_tables` evaluates both closed forms from one Gegenbauer row table,
-and `psi_second_deriv_table` psi'' of many states from one stacked fill of
-C^(nu), C^(nu+1) and C^(nu+2).
+`basis_blocks` streams the polynomial factors phi_n and phi_n' of the
+lowest levels in 32-row blocks, advancing C^(nu) and C^(nu+1) in one
+stacked recurrence, and `basis_table` stacks them into row tables of psi
+and psi'.  `sample_tables` evaluates psi, the ladder actions
+b psi_n = alpha_n psi_{n-1} and b+ psi_n = alpha_{n+1} psi_{n+1}, psi'' and
+the Legendre form of many states at sample points from one stacked fill of
+C^(nu), C^(nu+1) and C^(nu+2); `psi_form_tables` evaluates both closed
+forms from one Gegenbauer row table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +43,9 @@ __all__ = [
     "BLOCK_ROWS",
     "basis_blocks",
     "basis_table",
-    "ladder_table",
+    "SampleTables",
+    "sample_tables",
     "psi_second_deriv_value",
-    "psi_second_deriv_table",
     "psi_value_legendre",
     "psi_form_tables",
     "gram_matrix",
@@ -197,39 +199,31 @@ def psi_value(ef: Eigenfunction, x):
 BLOCK_ROWS = 32
 
 
-def basis_blocks(params: ModelParams, n_basis: int, s: np.ndarray, c: np.ndarray):
-    """psi_n and psi_n' for n = 0 .. n_basis-1 at nodes x with s = sin(kx)
-    and c = cos(kx), yielded in blocks of `BLOCK_ROWS` levels as
-    ``(lo, hi, psi, dpsi)``:
+def basis_blocks(params: ModelParams, n_basis: int, s: np.ndarray):
+    """The polynomial factors phi_n and phi_n' of psi_n = cos^nu(kx) phi_n(X)
+    for n = 0 .. n_basis-1 at X = s = sin(kx), yielded in blocks of
+    `BLOCK_ROWS` levels as ``(lo, hi, phi, dphi)``:
 
-        psi_n  = cos^nu(kx) phi_n(X),   phi_n = N_n C_n^(nu),   X = sin(kx),
-        psi_n' = k cos^(nu-1)(kx) [ (1 - X^2) phi_n'(X) - nu X phi_n(X) ],
+        phi_n = N_n C_n^(nu),   phi_n' = 2 nu N_n C_{n-1}^(nu+1),
 
-    with N_n from `norm_tower` and phi_n' = 2 nu N_n C_{n-1}^(nu+1).  The
-    rows of a block are the levels max(lo-1, 0) .. min(hi, n_basis-1): the
-    block's own levels lo .. hi-1 and one level on either side, the window
-    a three-term reduction of the block reads.  Each block resumes the
-    Gegenbauer recurrences of index nu and nu+1, stacked in one
-    `gegenbauer_fill`, from the last two rows of the previous one, so the
-    tower costs O(n_basis * len(s)) and the stream holds
-    O(BLOCK_ROWS * len(s)): the yielded arrays are overwritten by the next
-    block.  The psi rows are the arithmetic of `psi_value` on the
-    states of `build_eigenfunction`, in the same order, so they equal it
-    entry by entry; the sign of a zero may differ (at x = 0 the levels
-    n = 3 mod 4 give -0.0 here and 0.0 there).
+    with N_n from `norm_tower`.  The rows of a block are the levels
+    max(lo-1, 0) .. min(hi, n_basis-1): the block's own levels lo .. hi-1
+    and one level on either side, the window a three-term reduction of the
+    block reads.  Each block resumes the Gegenbauer recurrences of index nu
+    and nu+1, stacked in one `gegenbauer_fill`, from the last two rows of
+    the previous one, so the tower costs O(n_basis * len(s)) and the stream
+    holds O(BLOCK_ROWS * len(s)).  The yielded arrays are overwritten by the
+    next block, and the consumer may overwrite them itself: the recurrence
+    resumes from storage of its own.
     """
     if n_basis < 1:
         raise ValueError(f"basis size must be >= 1, got {n_basis}")
     nu = params.nu
     norms = norm_tower(params, n_basis)
     dnorms = norms * (2.0 * nu)
-    c_nu = c**nu
-    one_minus_s2 = 1.0 - s * s
-    nu_s = nu * s
-    k_c = params.k * c ** (nu - 1.0)
     shape = (min(BLOCK_ROWS + 2, n_basis), s.size)
     gegen = np.empty((shape[0], 2, s.size))  # C_n^(nu) and C_{n-1}^(nu+1) of row n
-    psi, phi, dpsi = np.empty(shape), np.empty(shape), np.empty(shape)
+    phi, dphi = np.empty(shape), np.empty(shape)
     scratch = np.empty((2, s.size))
     rows = 0
     for lo in range(0, n_basis, BLOCK_ROWS):
@@ -241,57 +235,95 @@ def basis_blocks(params: ModelParams, n_basis: int, s: np.ndarray, c: np.ndarray
         # row 0 of C^(nu+1) is C_{-1} = 0: phi_0' = 0
         gegenbauer_fill(gegen[:rows], first, nu, s, scratch)
         levels = slice(first, first + rows)
-        block_phi, block_psi, block_dpsi = phi[:rows], psi[:rows], dpsi[:rows]
-        np.multiply(gegen[:rows, 0], norms[levels, None], out=block_phi)
-        np.multiply(gegen[:rows, 1], dnorms[levels, None], out=block_dpsi)
-        np.multiply(c_nu, block_phi, out=block_psi)
-        # dpsi = k c^(nu-1) ((1 - s^2) dphi - nu s phi), built in the storage of dphi
-        block_dpsi *= one_minus_s2
-        block_phi *= nu_s
-        block_dpsi -= block_phi
-        block_dpsi *= k_c
-        yield lo, hi, block_psi, block_dpsi
+        # each row times its norm; einsum needs no buffer for the strided,
+        # broadcast operands, where np.multiply takes two of 64 KB
+        np.einsum("ij,i->ij", gegen[:rows, 0], norms[levels], out=phi[:rows])
+        np.einsum("ij,i->ij", gegen[:rows, 1], dnorms[levels], out=dphi[:rows])
+        yield lo, hi, phi[:rows], dphi[:rows]
+
+
+def _psi_rows(params: ModelParams, s, c, phi: np.ndarray,
+              dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi = cos^nu(kx) phi and
+
+        psi' = k cos^(nu-1)(kx) [ (1 - X^2) phi'(X) - nu X phi(X) ],   X = sin(kx),
+
+    from rows of phi and phi' at s = sin(kx), c = cos(kx); psi' is built in
+    the storage of ``dphi``, and ``phi`` is overwritten.  The psi rows are
+    the arithmetic of `psi_value` on the states of `build_eigenfunction`, in
+    the same order, so they equal it entry by entry; the sign of a zero may
+    differ (at x = 0 the levels n = 3 mod 4 give -0.0 here and 0.0 there).
+    """
+    nu = params.nu
+    psi = c**nu * phi
+    dphi *= 1.0 - s * s
+    phi *= nu * s
+    dphi -= phi
+    dphi *= params.k * c ** (nu - 1.0)
+    return psi, dphi
 
 
 def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, np.ndarray]:
     """psi_n and psi_n' for n = 0 .. n_basis-1 at the 1-d array ``nodes``,
     one row per level: the own levels of each block of `basis_blocks`,
-    stacked.  The two results are the only tables it allocates; the stream
-    beside them holds a few blocks of (32 + 2) x len(nodes)."""
-    return _stacked_blocks(params, n_basis, *_trig(params, nodes))
-
-
-def _stacked_blocks(params: ModelParams, n_basis: int, s: np.ndarray,
-                    c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`basis_table` at the nodes with s = sin(kx) and c = cos(kx)."""
-    psi = np.empty((n_basis, s.size))
-    dpsi = np.empty_like(psi)
-    for lo, hi, block_psi, block_dpsi in basis_blocks(params, n_basis, s, c):
+    stacked, and then `_psi_rows`."""
+    s, c = _trig(params, nodes)
+    phi = np.empty((n_basis, s.size))
+    dphi = np.empty_like(phi)
+    for lo, hi, block_phi, block_dphi in basis_blocks(params, n_basis, s):
         first = max(lo - 1, 0)  # the level of the block's row 0
-        psi[lo:hi] = block_psi[lo - first:hi - first]
-        dpsi[lo:hi] = block_dpsi[lo - first:hi - first]
-    return psi, dpsi
+        phi[lo:hi] = block_phi[lo - first:hi - first]
+        dphi[lo:hi] = block_dphi[lo - first:hi - first]
+    return _psi_rows(params, s, c, phi, dphi)
 
 
-def ladder_table(params: ModelParams, n_basis: int,
-                 nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi_n with the lowering and raising actions on it, for n = 0 ..
-    n_basis-1 at the 1-d array ``nodes``, one row per level:
+class SampleTables(NamedTuple):
+    """Rows n = 0 .. n_levels-1 of the states at a set of sample points,
+    from `sample_tables`."""
+
+    psi: np.ndarray  # psi_n, Gegenbauer form
+    lower: np.ndarray  # b psi_n = alpha_n psi_{n-1}
+    upper: np.ndarray  # b+ psi_n = alpha_{n+1} psi_{n+1}
+    d2psi: np.ndarray  # psi_n''
+    legendre: np.ndarray  # psi_n, Legendre form
+
+
+def sample_tables(params: ModelParams, n_levels: int, x) -> SampleTables:
+    """psi_n, its ladder actions, psi_n'' and its Legendre form for n = 0 ..
+    n_levels-1 at the 1-d array ``x``, one row per level, all from one
+    stacked `gegenbauer_fill` of C^(nu), C^(nu+1) and C^(nu+2).
+
+    The ladder actions are the differential forms of b and b+ in position
+    space,
 
         lower_n = (1/k) cos(kx) psi_n' + (n + nu) sin(kx) psi_n
                 = alpha_n psi_{n-1}   (zero for n = 0),
         upper_n = (n + nu + 1)/(n + nu) [ -(1/k) cos(kx) psi_n' + (n + nu) sin(kx) psi_n ]
                 = alpha_{n+1} psi_{n+1},
 
-    the differential forms of b and b+ in position space, as row
-    expressions on one `basis_table`.  The identities hold up to rounding.
+    which hold up to rounding.  Row n of family j is N_n times the prefactor
+    (2 nu)(2 nu + 2)... of `_phi_at`, built in its order, so psi and psi''
+    are the arithmetic of `psi_value` and `psi_second_deriv_value` on the
+    closed-form states and equal them entry by entry, apart from the sign
+    of a zero; the Legendre rows are those of `psi_form_tables`.
     """
-    s, c = _trig(params, nodes)
-    psi, dpsi = _stacked_blocks(params, n_basis, s, c)
-    m = (np.arange(n_basis) + params.nu)[:, None]
-    lower = (1.0 / params.k) * c * dpsi + m * s * psi
-    upper = (m + 1.0) / m * (-(1.0 / params.k) * c * dpsi + m * s * psi)
-    return psi, lower, upper
+    if n_levels < 1:
+        raise ValueError(f"number of levels must be >= 1, got {n_levels}")
+    nu, k = params.nu, params.k
+    s, c = _trig(params, x)
+    rows = np.empty((n_levels, 3, s.size))  # C_n^(nu), C_{n-1}^(nu+1), C_{n-2}^(nu+2)
+    gegenbauer_fill(rows, 0, nu, s, np.empty((3, s.size)))
+    legendre = _legendre_rows(params, n_levels, s, c, rows[:, 0])
+    prefactors, index = [1.0], nu
+    for _ in range(2):
+        prefactors.append(prefactors[-1] * (2.0 * index))
+        index += 1.0
+    rows *= norm_tower(params, n_levels)[:, None, None] * np.array(prefactors)[:, None]
+    d2psi = _second_deriv(params, s, c, rows[:, 0], rows[:, 1], rows[:, 2])
+    psi, dpsi = _psi_rows(params, s, c, rows[:, 0], rows[:, 1])
+    m = (np.arange(n_levels) + nu)[:, None]
+    deriv, value = (1.0 / k) * c * dpsi, m * s * psi
+    return SampleTables(psi, deriv + value, (m + 1.0) / m * (value - deriv), d2psi, legendre)
 
 
 def psi_second_deriv_value(ef: Eigenfunction, x):
@@ -302,28 +334,6 @@ def psi_second_deriv_value(ef: Eigenfunction, x):
     """
     s, c = _trig(ef.params, x)
     return _shape(_second_deriv(ef.params, s, c, *(_phi_at(ef, s, d) for d in range(3))), x)
-
-
-def psi_second_deriv_table(params: ModelParams, n_levels: int, x) -> np.ndarray:
-    """psi_n'' for n = 0 .. n_levels-1 at the 1-d array ``x``, one row per
-    level, from one stacked fill of C^(nu), C^(nu+1) and C^(nu+2) in place
-    of three Gegenbauer rows per state.  Row n of family j is N_n times the
-    prefactor (2 nu)(2 nu + 2)... of `_phi_at`, built in its order, so the
-    rows are the arithmetic of `psi_second_deriv_value` on the closed-form
-    states and equal it entry by entry, apart from the sign of a zero.
-    """
-    if n_levels < 1:
-        raise ValueError(f"number of levels must be >= 1, got {n_levels}")
-    nu = params.nu
-    s, c = _trig(params, x)
-    rows = np.empty((n_levels, 3, s.size))  # C_n^(nu), C_{n-1}^(nu+1), C_{n-2}^(nu+2)
-    gegenbauer_fill(rows, 0, nu, s, np.empty((3, s.size)))
-    prefactors, index = [1.0], nu
-    for _ in range(2):
-        prefactors.append(prefactors[-1] * (2.0 * index))
-        index += 1.0
-    rows *= norm_tower(params, n_levels)[:, None, None] * np.array(prefactors)[:, None]
-    return _second_deriv(params, s, c, rows[:, 0], rows[:, 1], rows[:, 2])
 
 
 def _second_deriv(params: ModelParams, s, c, phi, dphi, d2phi):
@@ -380,16 +390,22 @@ def psi_form_tables(params: ModelParams, n_levels: int, x) -> tuple[np.ndarray, 
     """
     if n_levels < 1:
         raise ValueError(f"number of levels must be >= 1, got {n_levels}")
-    nu = params.nu
     s, c = _trig(params, x)
-    rows = gegenbauer_row(n_levels - 1, nu, s)
+    rows = gegenbauer_row(n_levels - 1, params.nu, s)
     phi = norm_tower(params, n_levels)[:, None] * rows
     phi += 0.0  # -0.0 + 0.0 is 0.0
+    return c**params.nu * phi, _legendre_rows(params, n_levels, s, c, rows)
+
+
+def _legendre_rows(params: ModelParams, n_levels: int, s, c, rows: np.ndarray) -> np.ndarray:
+    """The Legendre form of psi_0 .. psi_{n_levels-1} at s = sin(kx),
+    c = cos(kx), from the rows C_n^(nu)(s): the arithmetic of
+    `psi_value_legendre`."""
     consts = np.array([math.exp(_legendre_log_const(params, n)) for n in range(n_levels)])
     legendre = consts[:, None] * np.sqrt(c)
-    legendre *= (1.0 - s * s) ** (0.5 * nu - 0.25)
+    legendre *= (1.0 - s * s) ** (0.5 * params.nu - 0.25)
     legendre *= rows
-    return c**nu * phi, legendre
+    return legendre
 
 
 def gram_matrix(efs: list[Eigenfunction], rule: QuadratureRule) -> np.ndarray:

@@ -101,6 +101,27 @@ def test_quadrature_floor_is_inclusive():
         RunConfig(nu=2.0, quadrature_order=floor - 1)
 
 
+def test_quadrature_floor_counts_the_wavefunction_states():
+    # verify reads 21 states on the rule at every N, so below N = 21 the
+    # floor and the default order take 21 in place of N; nothing moves at
+    # N >= 21
+    params = ModelParams(nu=24.0)
+    assert quadrature_floor(params, 8) == quadrature_floor(params, 21) == 2 * 21 + 48 + 10
+    assert quadrature_floor(params, 30) == 2 * 30 + 48 + 10
+    assert RunConfig(nu=24.0, basis_size=8).effective_quadrature_order == 2 * 21 + 60
+    with pytest.raises(ValueError, match="below the minimum 100"):
+        RunConfig(nu=24.0, basis_size=8, quadrature_order=99)
+
+
+@pytest.mark.parametrize("nu", ["20", "24"])
+def test_main_checks_the_wavefunction_states_at_small_n(nu, capsys):
+    # at the old floor, 2N + 2nu + 10 = 74 at N = 8, adjointness_quadrature
+    # read 111 times its bound at nu = 20, and gram_identity failed too at 24
+    assert main(["verify", "--nu", nu, "--basis-size", "8"]) == 0
+    relations = {r["name"]: r for r in json.loads(capsys.readouterr().out)["relations"]}
+    assert relations["gram_identity"]["pass"] and relations["adjointness_quadrature"]["pass"]
+
+
 def test_config_caps_the_effective_quadrature_order():
     # validation only: no rule is built at the cap
     cap = MAX_QUADRATURE_ORDER
@@ -189,7 +210,7 @@ def test_the_paper_relations_hold_at_n480(nu):
 
 
 def test_verify_reads_no_per_state_values(monkeypatch):
-    # the pointwise relations read one ladder_table at the sample points;
+    # the pointwise relations read one sample_tables at the sample points;
     # psi_value and gram_matrix stay for `wavefunctions` and as the tested
     # reference of the tables
     def refuse(*args, **kwargs):

@@ -47,10 +47,16 @@ from ptdeform.opmat import (
     structure_residuals,
     su11_ordering_residual,
     su11_residuals,
-    wavefunction_residuals,
+    wavefunction_checks,
 )
 from ptdeform.specfun import QuadratureRule, gauss_legendre
-from ptdeform.wavefun import basis_table, build_eigenfunction, gram_matrix, psi_value
+from ptdeform.wavefun import (
+    basis_table,
+    build_eigenfunction,
+    gram_matrix,
+    psi_value,
+    sample_tables,
+)
 
 N = 30
 MARGIN = 4
@@ -306,18 +312,45 @@ def test_rule_interval_must_match_box():
         build_X(params, N, gauss_legendre(2 * N + 60, -1.0, 1.0))
 
 
-def _images(params, psi, dpsi, nodes):
+def _position_images(params, psi, dpsi, nodes):
     """sin(kx) psi and R psi = (P/i) psi = hbar k [(k/2) sin(kx) psi - cos(kx) psi'],
-    row by row, in the arithmetic of `quadrature_XP`."""
+    row by row, in position space: the reference of the tests that bound
+    the bands of `quadrature_XP` by the rounding of sums."""
     s = np.sin(params.k * nodes)
     c = np.cos(params.k * nodes)
     hbar, k = params.hbar, params.k
     return s * psi, (-hbar * k * c) * dpsi + (0.5 * hbar * k**2 * s) * psi
 
 
+def _images(params, rows, dphi, nodes, root):
+    """The X images X rows and the R images hbar k^2 u [(nu + 1/2) X phi -
+    (1 - X^2) phi'] of root-weighted rows u phi, u = ``root``, at the
+    columns X = sin(kx) of ``nodes``, in the arithmetic of `quadrature_XP`."""
+    s = np.sin(params.k * nodes)
+    scale = params.hbar * params.k**2
+    r_image = rows * ((scale * (params.nu + 0.5)) * s)
+    r_image -= dphi * (scale * (root * (1.0 - s * s)))
+    return rows * s, r_image
+
+
+def _root(params, nodes, weights):
+    """u = sqrt(w) cos^nu(kx), the column factor of the rows of `quadrature_XP`."""
+    return np.sqrt(weights) * np.cos(params.k * nodes) ** params.nu
+
+
 def _rule(params, n_basis):
-    return gauss_legendre(max(2 * n_basis + 60, math.ceil(2 * n_basis + 2 * params.nu + 10)),
-                          *params.box)
+    """The default order raised to the floor: max(2 max(N, 21) + 60, floor)."""
+    order = max(2 * max(n_basis, opmat.WAVEFUNCTION_STATES) + 60,
+                opmat.quadrature_floor(params, n_basis))
+    return gauss_legendre(order, *params.box)
+
+
+def _gamma(order):
+    """gamma_(Q+1) = (Q+1) u / (1 - (Q+1) u), u = 2^-53: the relative
+    rounding bound of a sum of Q+1 terms (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1)."""
+    terms = (order + 1) * 2.0**-53
+    return terms / (1.0 - terms)
 
 
 @pytest.mark.parametrize("nu", [1.0, 3.7])
@@ -334,7 +367,7 @@ def test_x_and_p_are_the_per_state_quadrature(n_basis, nu):
     _, dpsi = basis_table(params, n_basis, rule.nodes)
     x_op, p_op, _, _ = quadrature_XP(params, n_basis, rule)
     gamma = 2 * (rule.order + 1) * 2.0**-53
-    x_image, r_image = _images(params, psi, dpsi, rule.nodes)
+    x_image, r_image = _position_images(params, psi, dpsi, rule.nodes)
     # X is real, and P is i times a real matrix
     for band, image in ((x_op, x_image), (-1j * p_op, r_image)):
         ref = (psi * rule.weights) @ image.T
@@ -359,7 +392,7 @@ def _dense_off_band(params, n_basis, rule, keep):
     rows, cols = np.indices((keep, keep))
     off_band = np.abs(rows - cols) > 1
     return tuple(float(np.max(np.abs(((psi * rule.weights) @ image.T)[:keep, :keep][off_band])))
-                 for image in _images(params, psi, dpsi, rule.nodes))
+                 for image in _position_images(params, psi, dpsi, rule.nodes))
 
 
 @pytest.mark.parametrize("nu", [1.0, 1.2, 3.7, 49.9])
@@ -391,11 +424,10 @@ def _whole_table_gegenbauer(n_max, nu, x):
 
 
 def _whole_table_basis(params, n_basis, nodes):
-    """psi and psi' as two N x Q tables, each family in one recurrence
+    """phi and phi' as two N x Q tables, each family in one recurrence
     pass: the whole-table route, in the arithmetic of `basis_blocks`."""
     nu = params.nu
     s = np.sin(params.k * nodes)
-    c = np.cos(params.k * nodes)
     norms = wavefun.norm_tower(params, n_basis)
     phi = _whole_table_gegenbauer(n_basis - 1, nu, s)
     phi *= norms[:, None]
@@ -403,38 +435,32 @@ def _whole_table_basis(params, n_basis, nodes):
     if n_basis >= 2:
         dphi[1:] = _whole_table_gegenbauer(n_basis - 2, nu + 1.0, s)
         dphi[1:] *= (norms[1:] * (2.0 * nu))[:, None]
-    psi = c**nu * phi
-    dphi *= 1.0 - s * s
-    phi *= nu * s
-    dphi -= phi
-    dphi *= params.k * c ** (nu - 1.0)
-    return psi, dphi
+    return phi, dphi
 
 
-def _three_term_remainder(psi, image, lower, upper, lo, top):
+def _three_term_remainder(rows, image, lower, upper, lo, top):
     """T psi_n - T_{n+1,n} psi_{n+1} - T_{n-1,n} psi_{n-1} for n = lo ..
     top-1 at every column of the whole tables, in the arithmetic of
     `_tridiagonal_block`."""
-    resid = image[lo:top] - lower[lo:top, None] * psi[lo + 1:top + 1]
+    resid = image[lo:top] - lower[lo:top, None] * rows[lo + 1:top + 1]
     first = max(lo, 1)
-    resid[first - lo:] -= upper[first - 1:top - 1, None] * psi[first - 1:top - 1]
+    resid[first - lo:] -= upper[first - 1:top - 1, None] * rows[first - 1:top - 1]
     return resid
 
 
-def _whole_table_band(psi, weights, image):
+def _whole_table_band(rows, image):
     """The (3, N) real band and the defects of `_tridiagonal_block`, read
-    from whole N x Q tables in the same 32-row blocks; the diagonal is 0."""
-    n = psi.shape[0]
+    from whole N x Q tables of root-weighted rows and their images in the
+    same 32-row blocks; the diagonal is 0."""
+    n = rows.shape[0]
     upper, lower = np.empty(n - 1), np.empty(n - 1)
     defect = np.empty(n - 1)
     for lo in range(0, n, 32):
         top = min(lo + 32, n - 1)
-        wpsi = psi[lo:top + 1] * weights
-        upper[lo:top] = np.einsum("ij,ij->i", wpsi[:top - lo], image[lo + 1:top + 1])
-        lower[lo:top] = np.einsum("ij,ij->i", wpsi[1:], image[lo:top])
-        resid = _three_term_remainder(psi, image, lower, upper, lo, top)
-        resid *= resid
-        defect[lo:top] = np.sqrt(resid @ weights)
+        upper[lo:top] = np.einsum("ij,ij->i", rows[lo:top], image[lo + 1:top + 1])
+        lower[lo:top] = np.einsum("ij,ij->i", rows[lo + 1:top + 1], image[lo:top])
+        resid = _three_term_remainder(rows, image, lower, upper, lo, top)
+        defect[lo:top] = np.sqrt(np.einsum("ij,ij->i", resid, resid))
     band = np.zeros((3, n))
     band[0, 1:], band[2, :-1] = lower, upper
     return band, defect
@@ -452,28 +478,35 @@ STREAM_SIZES = [8, 31, 32, 33, 34, 64, 65, 97, 480]
 def test_streamed_quadrature_is_the_whole_table_route(n_basis, params):
     # the block stream against whole N x Q tables, bit for bit, across the
     # block edges: each window of `basis_blocks` holds the table rows
-    # max(lo-1, 0) .. min(hi, N-1), `basis_table` is their stack, and the
-    # bands and defects of `quadrature_XP` are those of the whole tables'
-    # columns at the nonnegative nodes, summed with the folded weights of
-    # `opmat._folded_rule` (each column of a table depends on its own node
-    # alone; the fold itself is checked against whole-rule sums in
+    # max(lo-1, 0) .. min(hi, N-1), `basis_table` is their stack with psi
+    # and psi' formed from it, and the bands and defects of `quadrature_XP`
+    # are those of the whole tables' columns at the nonnegative nodes,
+    # weighted by the root of the folded weights of `opmat._folded_rule`
+    # (each column of a table depends on its own node alone; the fold
+    # itself is checked against whole-rule sums in
     # `test_folded_bands_are_the_whole_rule_sums`)
     rule = _rule(params, n_basis)
-    psi, dpsi = _whole_table_basis(params, n_basis, rule.nodes)
+    phi, dphi = _whole_table_basis(params, n_basis, rule.nodes)
     s, c = np.sin(params.k * rule.nodes), np.cos(params.k * rule.nodes)
-    for lo, hi, block_psi, block_dpsi in wavefun.basis_blocks(params, n_basis, s, c):
+    for lo, hi, block_phi, block_dphi in wavefun.basis_blocks(params, n_basis, s):
         window = slice(max(lo - 1, 0), min(hi, n_basis - 1) + 1)
-        assert np.array_equal(block_psi, psi[window])
-        assert np.array_equal(block_dpsi, dpsi[window])
+        assert np.array_equal(block_phi, phi[window])
+        assert np.array_equal(block_dphi, dphi[window])
+    nu = params.nu
+    psi = c**nu * phi
+    dpsi = dphi * (1.0 - s * s)
+    dpsi -= phi * (nu * s)
+    dpsi *= params.k * c ** (nu - 1.0)
     stacked = basis_table(params, n_basis, rule.nodes)
     assert np.array_equal(stacked[0], psi) and np.array_equal(stacked[1], dpsi)
     nodes, weights = opmat._folded_rule(rule)
     half = slice(rule.order // 2, None)  # the columns at those nodes
     assert np.array_equal(rule.nodes[half], nodes)
-    psi, dpsi = psi[:, half], dpsi[:, half]
-    x_image, r_image = _images(params, psi, dpsi, nodes)
-    x_band, x_defect = _whole_table_band(psi, weights, x_image)
-    r_band, p_defect = _whole_table_band(psi, weights, r_image)
+    root = _root(params, nodes, weights)
+    rows = phi[:, half] * root
+    x_image, r_image = _images(params, rows, dphi[:, half], nodes, root)
+    x_band, x_defect = _whole_table_band(rows, x_image)
+    r_band, p_defect = _whole_table_band(rows, r_image)
     x_op, p_op, got_x_defect, got_p_defect = quadrature_XP(params, n_basis, rule)
     assert np.array_equal(x_op.band, x_band)
     assert np.array_equal(p_op.band, 1j * r_band)
@@ -488,43 +521,54 @@ PARITY_NUS = [1.0, 1.294678, 3.7, 49.9]
 @pytest.mark.parametrize("nu", PARITY_NUS)
 @pytest.mark.parametrize("order", PARITY_ORDERS)
 def test_streamed_basis_rows_are_mirrored(order, nu):
-    # psi_n(-x) = (-1)^n psi_n(x) and psi_n'(-x) = (-1)^(n+1) psi_n'(x),
-    # exactly, on the whole rule: sin and cos of mirrored nodes are exactly
-    # odd and even, and every step of the stream keeps the parity
+    # phi_n(-X) = (-1)^n phi_n(X) and phi_n'(-X) = (-1)^(n+1) phi_n'(X),
+    # exactly, on the whole rule: sin of mirrored nodes is exactly odd, and
+    # every step of the stream keeps the parity
     params = ModelParams(nu=nu)
     rule = gauss_legendre(order, *params.box)
-    s, c = np.sin(params.k * rule.nodes), np.cos(params.k * rule.nodes)
-    for lo, _, psi, dpsi in wavefun.basis_blocks(params, 480, s, c):
+    s = np.sin(params.k * rule.nodes)
+    for lo, _, phi, dphi in wavefun.basis_blocks(params, 480, s):
         first = max(lo - 1, 0)
-        sign = (-1.0) ** np.arange(first, first + len(psi))[:, None]
-        assert np.array_equal(psi[:, ::-1], sign * psi)
-        assert np.array_equal(dpsi[:, ::-1], -sign * dpsi)
+        sign = (-1.0) ** np.arange(first, first + len(phi))[:, None]
+        assert np.array_equal(phi[:, ::-1], sign * phi)
+        assert np.array_equal(dphi[:, ::-1], -sign * dphi)
 
 
 @pytest.mark.parametrize("nu", PARITY_NUS)
 @pytest.mark.parametrize("order", PARITY_ORDERS)
 def test_folded_bands_are_the_whole_rule_sums(order, nu):
     # the off-diagonals and defects of `quadrature_XP`, summed over the
-    # folded half, against sums over every node formed here, entry by entry
-    # (measured at most 2.9e-15 relative); the diagonal is exactly 0.  N is
-    # the largest basis size up to 480 whose floor the rule meets.
+    # folded half, against sums over every node of the rule with its own
+    # weight, formed here from `basis_table` in position space, entry by
+    # entry; the diagonal is exactly 0.  Each off-diagonal entry agrees
+    # within 4e-15 of itself (measured at most 2.9e-15).  A defect is the
+    # norm of a three-term remainder whose terms cancel to rounding, so the
+    # two arithmetics differ in it by up to its size (measured 93 %); it is
+    # bounded instead by 8 u times the norm of the magnitudes of the terms,
+    # u = 2^-53 (measured at most 0.56 u).  N is the largest basis size up
+    # to 480 whose floor the rule meets.
     params = ModelParams(nu=nu)
     n_basis = min(480, (order - 10 - math.ceil(2 * nu)) // 2)
     rule = gauss_legendre(order, *params.box)
     psi, dpsi = basis_table(params, n_basis, rule.nodes)
     x_op, p_op, x_defect, p_defect = quadrature_XP(params, n_basis, rule)
     wpsi = psi * rule.weights
-    for op, image, defect in zip((x_op, -1j * p_op), _images(params, psi, dpsi, rule.nodes),
+    for op, image, defect in zip((x_op, -1j * p_op),
+                                 _position_images(params, psi, dpsi, rule.nodes),
                                  (x_defect, p_defect)):
         assert np.all(op.band.imag == 0.0)
         assert np.all(op.diagonal(0) == 0.0)
         lower, upper = op.diagonal(-1).real, op.diagonal(1).real
         whole_upper = np.einsum("ij,ij->i", wpsi[:-1], image[1:])
         whole_lower = np.einsum("ij,ij->i", wpsi[1:], image[:-1])
-        resid = _three_term_remainder(psi, image, lower, upper, 0, n_basis - 1)
-        whole_defect = np.sqrt((resid * resid) @ rule.weights)
-        for got, whole in ((upper, whole_upper), (lower, whole_lower), (defect, whole_defect)):
+        for got, whole in ((upper, whole_upper), (lower, whole_lower)):
             assert np.all(np.abs(got - whole) <= 4e-15 * np.abs(whole))
+        resid = _three_term_remainder(psi, image, lower, upper, 0, n_basis - 1)
+        terms = _three_term_remainder(np.abs(psi), np.abs(image), -np.abs(lower),
+                                      -np.abs(upper), 0, n_basis - 1)
+        whole_defect = np.sqrt((resid * resid) @ rule.weights)
+        terms_norm = np.sqrt((terms * terms) @ rule.weights)
+        assert np.all(np.abs(defect - whole_defect) <= 8 * 2.0**-53 * terms_norm)
 
 
 def test_a_rule_that_is_not_its_mirror_image_is_rejected():
@@ -544,10 +588,9 @@ def test_quadrature_builders_hold_few_tables():
     # (32 + 2) x Q window of `basis_blocks` on the whole rule.
     # `quadrature_XP` reduces each block as it arrives, on the (Q+1)//2
     # nonnegative nodes, so its peak is a fixed number of block buffers at
-    # every N (measured 4.7 at N = 240 and 4.3 at N = 1500; 8.7 and 8.3
-    # when the stream runs on the whole rule) and a small share of a table
-    # (0.10 at N = 1500).  One more N x Q array, 7.1 block buffers at
-    # N = 240, does not fit under these bounds.
+    # every N (measured 4.6 at N = 240 and 4.2 at N = 1500) and a small
+    # share of a table (0.10 at N = 1500).  One more N x Q array, 7.1 block
+    # buffers at N = 240, does not fit under these bounds.
     params = ModelParams(nu=3.7)
     for n_basis in (240, 1500):
         rule = gauss_legendre(2 * n_basis + 60, *params.box)
@@ -571,12 +614,27 @@ def _count_basis_tables(monkeypatch) -> list[tuple[int, int]]:
     calls = []
     original = wavefun.basis_blocks
 
-    def counted(params, n_basis, s, c):
+    def counted(params, n_basis, s):
         calls.append((n_basis, len(s)))
-        return original(params, n_basis, s, c)
+        return original(params, n_basis, s)
 
     for module in (opmat, wavefun):
         monkeypatch.setattr(module, "basis_blocks", counted)
+    return calls
+
+
+def _count_fills(monkeypatch) -> list[int]:
+    """The number of points of every `gegenbauer_fill`, through specfun's
+    or wavefun's name for it, from here on."""
+    calls = []
+    original = specfun.gegenbauer_fill
+
+    def counted(rows, n0, nu, x, scratch):
+        calls.append(len(x))
+        return original(rows, n0, nu, x, scratch)
+
+    for module in (specfun, wavefun):
+        monkeypatch.setattr(module, "gegenbauer_fill", counted)
     return calls
 
 
@@ -591,14 +649,39 @@ def test_one_operator_set_evaluates_the_basis_once(monkeypatch):
 
 
 def test_one_verify_evaluates_one_basis_table_per_point_set(monkeypatch):
-    # for X and P at the nonnegative nodes, for the 21 states of the
-    # wavefunction layer at all the nodes, and for the 11 states sampled at
-    # the 100 Chebyshev points
+    # on the nonnegative nodes, one stream of N levels for X and P and one
+    # block of the 21 states of the wavefunction checks; one fill serves
+    # the 11 states sampled at the 100 Chebyshev points
     calls = _count_basis_tables(monkeypatch)
-    config = RunConfig(nu=2.0)
-    run_verification(config)
-    order = config.effective_quadrature_order
-    assert calls == [(N, (order + 1) // 2), (21, order), (11, 100)]
+    fills = _count_fills(monkeypatch)
+    for n_basis in (N, 8):
+        calls.clear()
+        fills.clear()
+        config = RunConfig(nu=2.0, basis_size=n_basis)
+        run_verification(config)
+        half = (config.effective_quadrature_order + 1) // 2
+        assert calls == [(n_basis, half), (opmat.WAVEFUNCTION_STATES, half)]
+        assert fills.count(100) == 1
+        assert set(fills) == {half, 100}
+
+
+def test_ladder_and_scan_limit_compute_no_wavefunction_checks(monkeypatch):
+    # only verify reads the Gram and adjointness defects, so only verify
+    # pays for them
+    calls = []
+    original = opmat.wavefunction_checks
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (opmat, cli):
+        monkeypatch.setattr(module, "wavefunction_checks", counted)
+    cli.cmd_ladder(RunConfig(nu=3.7), 25)
+    cli.cmd_scan_limit(RunConfig(nu=1.0), [1.0, 1.5, 3.7])
+    assert calls == []
+    run_verification(RunConfig(nu=3.7))
+    assert len(calls) == 1
 
 
 def test_one_verify_builds_the_casimir_pair_once(monkeypatch):
@@ -696,13 +779,13 @@ def _leaky(kernel, which, leak=LEAK):
     ``which``-th call on the first block: 0 is P/i, 1 is X."""
     calls = []
 
-    def leaky_kernel(psi, wpsi, weights, image, lo, hi, band, defect):
+    def leaky_kernel(rows, image, lo, hi, band, defect, scratch):
         if lo == 0:
             if len(calls) == which:
                 image = image.copy()
-                image[0] += leak * psi[5]
+                image[0] += leak * rows[5]
             calls.append(which)
-        return kernel(psi, wpsi, weights, image, lo, hi, band, defect)
+        return kernel(rows, image, lo, hi, band, defect, scratch)
     return leaky_kernel
 
 
@@ -780,17 +863,62 @@ def test_structure_residuals_match_the_full_width_operators(n_basis, nu, perturb
     assert structure_residuals(params, ops, margin) == expected
 
 
+def _whole_rule_wavefunction_defects(params, rule):
+    """The Gram and adjointness matrices of the 21 states of the wavefunction
+    checks, summed over every node of ``rule`` from `sample_tables`, and
+    the sums of the magnitudes of their terms, taken before the
+    cancellations inside each ladder form."""
+    nodes, w = rule.nodes, rule.weights
+    n_states = opmat.WAVEFUNCTION_STATES
+    rows = sample_tables(params, n_states, nodes)
+    psi, dpsi = basis_table(params, n_states, nodes)
+    s, c = np.sin(params.k * nodes), np.cos(params.k * nodes)
+    m = (np.arange(n_states) + params.nu)[:, None]
+    pieces = np.abs(c * dpsi) / params.k + np.abs(m * s * psi)
+    gram = (psi * w) @ psi.T - np.eye(n_states)
+    adjoint = (psi * w) @ rows.lower.T - (rows.upper * w) @ psi.T
+    gram_terms = np.abs(psi * w) @ np.abs(psi).T
+    adjoint_terms = (np.abs(psi * w) @ pieces.T
+                     + ((m + 1.0) / m * pieces * w) @ np.abs(psi).T)
+    return gram, adjoint, gram_terms, adjoint_terms
+
+
 @pytest.mark.parametrize("nu", BIT_NUS)
-@pytest.mark.parametrize("n_states", BIT_SIZES)
-def test_wavefunction_residuals_match_the_per_state_route(n_states, nu):
-    # the Gram defect bit for bit; adjointness_quadrature is checked against
-    # its bound in test_ladder_forms_are_adjoint_under_quadrature
+@pytest.mark.parametrize("n_basis", BIT_SIZES)
+def test_wavefunction_residuals_match_the_per_state_route(n_basis, nu):
+    # the Gram defect of the stream's 21 states against `gram_matrix` of
+    # the per-state values on the whole rule, within gamma_(Q+1) of the sum
+    # of the magnitudes of its terms: the stream sums over the folded half
+    # of the rule, and that sum cannot equal the whole rule's bit for bit
     params = ModelParams(nu=nu)
-    rule = _rule(params, n_states)
-    efs = [build_eigenfunction(params, n) for n in range(n_states)]
-    got = wavefunction_residuals(params, n_states, rule)
+    rule = _rule(params, n_basis)
+    efs = [build_eigenfunction(params, n) for n in range(opmat.WAVEFUNCTION_STATES)]
+    got = wavefunction_checks(params, rule)
     assert sorted(got) == ["adjointness_quadrature", "gram_identity"]
-    assert got["gram_identity"] == float(np.max(np.abs(gram_matrix(efs, rule) - np.eye(n_states))))
+    ref = float(np.max(np.abs(gram_matrix(efs, rule) - np.eye(len(efs)))))
+    terms = _whole_rule_wavefunction_defects(params, rule)[2]
+    assert abs(got["gram_identity"] - ref) <= _gamma(rule.order) * float(np.max(terms))
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 24.0, 49.9])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("n_basis", [8, 20, 30, 480])
+def test_stream_wavefunction_checks_are_the_whole_rule_sums(n_basis, parity, nu):
+    # both defects from one block of root-weighted rows on the folded half
+    # of the rule, against the whole rule's sums formed here: within
+    # gamma_(Q+1) of the sum of the magnitudes of their terms, the terms of
+    # each ladder form taken before its cancellations.  The default order
+    # is even; one more gives an odd rule, whose midpoint keeps its weight.
+    params = ModelParams(nu=nu)
+    order = _rule(params, n_basis).order
+    rule = gauss_legendre(order + (order % 2 != (parity == "odd")), *params.box)
+    assert rule.order % 2 == (parity == "odd")
+    got = wavefunction_checks(params, rule)
+    gram, adjoint, gram_terms, adjoint_terms = _whole_rule_wavefunction_defects(params, rule)
+    gamma = _gamma(rule.order)
+    for name, whole, terms in (("gram_identity", gram, gram_terms),
+                               ("adjointness_quadrature", adjoint, adjoint_terms)):
+        assert abs(got[name] - float(np.max(np.abs(whole)))) <= gamma * float(np.max(terms))
 
 
 def test_structure_residuals_need_a_trusted_block():
@@ -964,13 +1092,16 @@ def test_su11_jplus_reference_entry():
 def test_ladder_forms_are_adjoint_under_quadrature(nu):
     # the bound of "adjointness_quadrature" in the verify battery
     params, rule, *_ = operators(nu)
-    assert wavefunction_residuals(params, 21, rule)["adjointness_quadrature"] < 1e-10
+    assert wavefunction_checks(params, rule)["adjointness_quadrature"] < 1e-10
 
 
 def test_adjointness_requires_states():
-    params, rule, *_ = operators(1.5)
-    with pytest.raises(ValueError):
-        wavefunction_residuals(params, 0, rule)
+    # the checks read 21 states, so they need a rule that integrates them,
+    # whatever the basis size the rule was chosen for
+    params = ModelParams(nu=1.5)
+    short = gauss_legendre(2 * 8 + 2 * 2 + 10, *params.box)
+    with pytest.raises(QuadratureOrderError):
+        wavefunction_checks(params, short)
 
 
 # ---------------------------------------------------------------------------

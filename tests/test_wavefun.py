@@ -29,15 +29,14 @@ from ptdeform.wavefun import (
     closed_form_states,
     gram_matrix,
     ladder_climb,
-    ladder_table,
     norm0,
     norm_n,
     norm_tower,
     psi_form_tables,
-    psi_second_deriv_table,
     psi_second_deriv_value,
     psi_value,
     psi_value_legendre,
+    sample_tables,
     square_well_state,
 )
 
@@ -267,14 +266,15 @@ def test_basis_table_is_the_per_state_stack(n_basis, nu):
 @pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 49.9])
 @pytest.mark.parametrize("n_basis", [1, 8, 30, 120])
 def test_ladder_table_is_the_per_state_stack(n_basis, nu):
-    # the quadrature nodes, and an odd Chebyshev set, which holds x = 0;
-    # np.array_equal takes -0.0 == 0.0, and there the table gives -0.0 for
-    # the levels n = 3 mod 4 where psi_value gives 0.0.  The lowering and
-    # raising rows are checked against the ladder identities below.
+    # the psi rows of `sample_tables`, at the quadrature nodes and at an odd
+    # Chebyshev set, which holds x = 0; np.array_equal takes -0.0 == 0.0,
+    # and there the table gives -0.0 for the levels n = 3 mod 4 where
+    # psi_value gives 0.0.  The lowering and raising rows are checked
+    # against the ladder identities below.
     p = ModelParams(nu=nu)
     efs = [build_eigenfunction(p, n) for n in range(n_basis)]
     for nodes in (rule_for(p, n_basis).nodes, chebyshev_points(p, 33)):
-        psi, _, _ = ladder_table(p, n_basis, nodes)
+        psi = sample_tables(p, n_basis, nodes).psi
         assert np.array_equal(psi, np.array([psi_value(ef, nodes) for ef in efs]))
 
 
@@ -379,13 +379,31 @@ def test_second_derivative_table_is_the_per_state_value(nu, count):
     # for value; 101 points hold x = 0, where the sign of a zero may differ
     p = ModelParams(nu=nu)
     points = chebyshev_points(p, count)
-    table = psi_second_deriv_table(p, 11, points)
+    table = sample_tables(p, 11, points).d2psi
     assert table.shape == (11, count)
     for n, row in enumerate(table):
         ref = psi_second_deriv_value(build_eigenfunction(p, n), points)
         assert np.array_equal(row + 0.0, ref + 0.0)  # -0.0 + 0.0 is 0.0
     with pytest.raises(ValueError):
-        psi_second_deriv_table(p, 0, points)
+        sample_tables(p, 0, points)
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 49.9, 150.0])
+@pytest.mark.parametrize("count", [100, 101])
+def test_sample_tables_are_the_separate_tables(nu, count):
+    # the one fill gives, entry by entry, the psi rows of the basis table,
+    # the ladder forms written on them, and the Legendre rows of
+    # psi_form_tables
+    p = ModelParams(hbar=1.3, mass=0.7, k=2.1, nu=nu)
+    points = chebyshev_points(p, count)
+    got = sample_tables(p, 11, points)
+    psi, dpsi = basis_table(p, 11, points)
+    s, c = np.sin(p.k * points), np.cos(p.k * points)
+    m = (np.arange(11) + nu)[:, None]
+    assert np.array_equal(got.psi, psi)
+    assert np.array_equal(got.lower, (1.0 / p.k) * c * dpsi + m * s * psi)
+    assert np.array_equal(got.upper, (m + 1.0) / m * (-(1.0 / p.k) * c * dpsi + m * s * psi))
+    assert np.array_equal(got.legendre, psi_form_tables(p, 11, points)[1])
 
 
 @pytest.mark.parametrize("nu", [1.0, 1.294678, 3.7, 49.9])
@@ -413,7 +431,7 @@ def test_schrodinger_pointwise(nu):
 
 
 # ---------------------------------------------------------------------------
-# ladder action in position space, on the rows of one ladder_table
+# ladder action in position space, on the rows of one sample_tables
 
 LADDER_NUS = [*NU_SET, 49.9]
 
@@ -422,7 +440,7 @@ def ladder_rows(nu):
     """psi, lower, upper of levels 0 .. 26 at 60 Chebyshev points, and
     alpha_n as a column."""
     p = ModelParams(nu=nu)
-    psi, lower, upper = ladder_table(p, 27, chebyshev_points(p, 60))
+    psi, lower, upper = sample_tables(p, 27, chebyshev_points(p, 60))[:3]
     return psi, lower, upper, np.array([alpha(p, n) for n in range(27)])[:, None]
 
 

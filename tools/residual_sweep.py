@@ -15,11 +15,13 @@ The sweep covers N = 30 at 14 strengths up to nu = 300, N = 60, 120 and
 sizes 8-11, 26 and 27, the sizes 32, 33 and 65 on either side of the
 32-row blocks of the basis stream at nu = 1, 3.7 and 49.9, N = 1500 at
 nu = 3.7 and 25.3, and one set of non-unit units.  Every configuration
-runs at quadrature order max(2N + 60, ceil(2N + 2 nu + 10)).  That order
-is even everywhere except at N = 30, nu = 49.3 (169), N = 480, nu = 25.3
-(1021) and N = 1500, nu = 25.3 (3061), which put the midpoint node of an
-odd rule, the one node the quadrature layer's parity fold does not
-double, into the sweep up to its largest size.
+runs at the program's default order raised to its floor,
+max(2M + 60, ceil(2M + 2 nu + 10)) with M = max(N, 21), the 21 states of
+the wavefunction checks.  That order is even everywhere except at N = 30,
+nu = 49.3 (169), N = 480, nu = 25.3 (1021) and N = 1500, nu = 25.3
+(3061), which put the midpoint node of an odd rule, the one node the
+quadrature layer's parity fold does not double, into the sweep up to its
+largest size.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ def main(argv: list[str]) -> int:
     from ptdeform.cli import RunConfig, run_verification
 
     for n, nu, flags, extra in configs():
-        order = max(2 * n + 60, math.ceil(2 * n + 2 * nu + 10))
+        levels = max(n, 21)
+        order = max(2 * levels + 60, math.ceil(2 * levels + 2 * nu + 10))
         head = f"{n} {nu!r} {flags}"
         try:
             # the floating-point state of `ptdeform.cli.main`
