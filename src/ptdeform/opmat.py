@@ -294,9 +294,9 @@ def _folded_rule(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
 def _root_weighted_columns(params: ModelParams, rule: QuadratureRule
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """At the nodes of the folded half of ``rule``: X = sin(kx), the root
-    weight u = sqrt(w) cos^nu(kx) that turns the polynomial rows phi_n of
-    `basis_blocks` into sqrt(w) psi_n, and u (1 - X^2), the factor of the
-    rows phi_n' in the derivative forms."""
+    weight u = sqrt(w) cos^nu(kx) that turns the polynomial factors phi_n
+    into the rows sqrt(w) psi_n, and u (1 - X^2), the factor of phi_n' in
+    the derivative forms: the columns of `basis_blocks`."""
     nodes, weights = _folded_rule(rule)
     s = np.sin(params.k * nodes)
     root = np.sqrt(weights) * np.cos(params.k * nodes) ** params.nu
@@ -363,10 +363,12 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
         R psi = hbar k [ (k/2) X psi - c psi' ]
               = hbar k^2 c^nu [ (nu + 1/2) X phi - (1 - X^2) phi' ],
 
-    phi' from the nu+1 family of the stream.  Each block's rows carry the
-    root of the folded weight, u_q = sqrt(w_q) c_q^nu: the rows u phi_n, the
-    X images X u phi_n and the R images are formed once per block, and each
-    band entry and defect is a plain reduction of them.
+    phi' from the nu+1 family of the stream.  The stream's rows carry the
+    root of the folded weight, u_q = sqrt(w_q) c_q^nu, and the edge factor
+    e = hbar k^2 u (1 - X^2), as U_n = u phi_n and D_n = e phi_n'; the X
+    images are X U and the R images hbar k^2 (nu + 1/2) X U - D, formed
+    once per block, and each band entry and defect is a plain reduction of
+    them.
 
     psi_n has parity (-1)^n, and X and R are odd, so both couple only
     levels of opposite parity: the diagonals are exactly 0, and the
@@ -385,22 +387,19 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
     scale = params.hbar * params.k**2
     # R u phi = scale (nu + 1/2) X u phi - scale u (1 - X^2) phi'
     value_factor = (scale * (params.nu + 0.5)) * s
-    deriv_factor = scale * root_edge
     # real bands; the diagonal row and the entries outside the tower stay 0
     x_band, r_band = np.zeros((3, n_basis)), np.zeros((3, n_basis))
     x_defect, p_defect = np.empty(n_basis - 1), np.empty(n_basis - 1)
     # the images of a block's own levels, and the scratch of its reductions
     x_images, r_images = np.empty((2, min(BLOCK_ROWS + 1, n_basis), s.size))
     scratch = np.empty((2, min(BLOCK_ROWS, n_basis - 1), s.size))
-    for lo, hi, rows, dphi in basis_blocks(params, n_basis, s):
-        rows *= root
-        own = slice(lo - max(lo - 1, 0), None)  # the levels lo .. top of the window
-        x_image, r_image = x_images[:len(rows) - own.start], r_images[:len(rows) - own.start]
-        np.multiply(rows[own], s, out=x_image)
-        np.multiply(rows[own], value_factor, out=r_image)
-        edge = dphi[own]
-        edge *= deriv_factor
-        r_image -= edge
+    for lo, hi, block in basis_blocks(params, n_basis, s, root, scale * root_edge):
+        own = block[lo - max(lo - 1, 0):]  # the levels lo .. top of the window
+        x_image, r_image = x_images[:len(own)], r_images[:len(own)]
+        np.multiply(own[:, 0], s, out=x_image)
+        np.multiply(own[:, 0], value_factor, out=r_image)
+        r_image -= own[:, 1]
+        rows = block[:, 0]
         _tridiagonal_block(rows, r_image, lo, hi, r_band, p_defect, scratch)
         _tridiagonal_block(rows, x_image, lo, hi, x_band, x_defect, scratch)
     p_op = OperatorMatrix(1j * r_band)
@@ -643,7 +642,8 @@ def wavefunction_checks(params: ModelParams, rule: QuadratureRule) -> dict[str, 
 
     One `basis_blocks` block on the folded half of the rule gives the
     root-weighted rows u phi_n of `quadrature_XP`, u = sqrt(w) cos^nu(kx),
-    and phi_n'.  With c = cos(kx) and X = sin(kx) the ladder forms read
+    and the edge rows u (1 - X^2) phi_n'.  With c = cos(kx) and X = sin(kx)
+    the ladder forms read
 
         b psi_n  = c^nu [(1 - X^2) phi_n' + n X phi_n],
         b+ psi_n = (n+nu+1)/(n+nu) c^nu [(n + 2 nu) X phi_n - (1 - X^2) phi_n'],
@@ -657,10 +657,10 @@ def wavefunction_checks(params: ModelParams, rule: QuadratureRule) -> dict[str, 
     n_states = WAVEFUNCTION_STATES
     _check_rule(params, n_states, rule)
     s, root, root_edge = _root_weighted_columns(params, rule)
-    _, _, psi, dphi = next(basis_blocks(params, n_states, s))  # the block holds every level
-    psi *= root
+    # the block holds every level
+    _, _, block = next(basis_blocks(params, n_states, s, root, root_edge))
+    psi, edge = block[:, 0], block[:, 1]
     x_psi = np.einsum("ij,j->ij", psi, s)
-    edge = np.einsum("ij,j->ij", dphi, root_edge)
     n = np.arange(n_states, dtype=float)
     raising = (n + params.nu + 1.0) / (n + params.nu)
     gram = adjoint = 0.0

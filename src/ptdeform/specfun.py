@@ -59,14 +59,12 @@ def gegenbauer_row(n_max: int, nu: float, x):
     xa = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1,) + xa.shape)
     flat = xa.reshape(-1)
-    gegenbauer_fill(out.reshape(n_max + 1, 1, flat.size), 0, nu, flat,
-                    np.empty((1, flat.size)))
+    gegenbauer_fill(out.reshape(n_max + 1, 1, flat.size), nu, flat, np.empty((1, flat.size)))
     return out
 
 
-def gegenbauer_fill(rows: np.ndarray, n0: int, nu: float, x: np.ndarray,
-                    scratch: np.ndarray) -> None:
-    """Fill ``rows[i, j]`` with C_{n0+i-j}^(nu_j)(x) in place: a stack of
+def gegenbauer_fill(rows: np.ndarray, nu: float, x: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill ``rows[i, j]`` with C_{i-j}^(nu_j)(x) in place: a stack of
     Gegenbauer families, family j of index nu_j = nu + j (added 1.0 at a
     time) and one level behind family j - 1, which is how the derivatives
     d/dX C_n^(nu) = 2 nu C_{n-1}^(nu+1) line up.  Each family follows the
@@ -75,37 +73,29 @@ def gegenbauer_fill(rows: np.ndarray, n0: int, nu: float, x: np.ndarray,
         m C_m = 2 (m + nu_j - 1) x C_{m-1} - (m + 2 nu_j - 2) C_{m-2},
 
     evaluated as ((2 (m + nu_j - 1) x) C_{m-1} - (m + 2 nu_j - 2) C_{m-2}) / m,
-    all families of a row in one step.  For n0 = 0 family j starts at row
-    j from C_0 = 1 and C_1 = 2 nu_j x, with C_m = 0 above it (m < 0).  For
-    n0 > 0 the fill resumes from rows 0 and 1, which must already hold
-    levels n0 and n0 + 1 of every family, each at level 1 or more
-    (n0 >= families - 1), so a tower can be built in stretches that carry
-    their last two rows over.  ``x`` is 1-d, ``rows`` has shape
-    (count, families, len(x)), and ``scratch`` is one more row of shape
-    (families, len(x)).
+    all families of a row in one step.  Family j starts at row j from
+    C_0 = 1 and C_1 = 2 nu_j x, with C_m = 0 above it (m < 0).  ``x`` is
+    1-d, ``rows`` has shape (count, families, len(x)), and ``scratch`` is
+    one more row of shape (families, len(x)).
     """
     count, families = rows.shape[:2]
     index = [nu]
     for _ in range(1, families):
         index.append(index[-1] + 1.0)
-    levels = n0 + np.arange(count)[:, None] - np.arange(families)
+    levels = np.arange(count)[:, None] - np.arange(families)
     lam = np.array(index)
     grow = (2.0 * (levels + lam - 1.0))[:, :, None]
     keep = (levels + 2.0 * lam - 2.0)[:, :, None]
     divide = levels[:, :, None].astype(float)
     steps = zip(rows[2:], rows[1:], rows, grow[2:], keep[2:], divide[2:], itertools.repeat(scratch))
-    if n0 == 0:
-        for j, nu_j in enumerate(index):
-            rows[:j, j] = 0.0
-            rows[j:j + 1, j] = 1.0
-            if j + 1 < count:
-                np.multiply(2.0 * nu_j, x, out=rows[j + 1, j])
-        # rows 2 .. families: only the first i - 1 families have reached level 2
-        ramp = [[a[:k] for a in step] for k, step in zip(range(1, families), steps)]
-        steps = itertools.chain(ramp, steps)
-    elif n0 < families - 1:
-        raise ValueError(f"a fill resumed at level {n0} starts a family below level 1")
-    for row, prev, prev2, a, b, m, tmp in steps:
+    for j, nu_j in enumerate(index):
+        rows[:j, j] = 0.0
+        rows[j:j + 1, j] = 1.0
+        if j + 1 < count:
+            np.multiply(2.0 * nu_j, x, out=rows[j + 1, j])
+    # rows 2 .. families: only the first i - 1 families have reached level 2
+    ramp = [[a[:k] for a in step] for k, step in zip(range(1, families), steps)]
+    for row, prev, prev2, a, b, m, tmp in itertools.chain(ramp, steps):
         np.multiply(a, x, out=row)
         row *= prev
         np.multiply(b, prev2, out=tmp)

@@ -10,10 +10,14 @@ through its associated Legendre representation, the Ferrers function
 written through its Gegenbauer connection with one log-space constant.
 Derivatives follow from d/dX C_j^(nu) = 2 nu C_{j-1}^(nu+1), so pointwise
 residuals of differential identities probe only floating-point rounding.
-`basis_blocks` streams the polynomial factors phi_n and phi_n' of the
-lowest levels in 32-row blocks, advancing C^(nu) and C^(nu+1) in one
-stacked recurrence, and `basis_table` stacks them into row tables of psi
-and psi'.  `sample_tables` evaluates psi, the ladder actions
+`basis_blocks` streams the lowest levels in 32-row blocks as weighted
+rows u phi_n and e phi_n', for two columns u and e the caller picks,
+advancing the normalized recurrences of both families in one stacked
+pass; no unnormalized C_n is formed, so a quadrature layer that passes
+the root of its weights reads bounded rows at any nu.  `basis_table`
+evaluates psi and psi' as whole row tables from one fill of the
+unnormalized C^(nu) and C^(nu+1), the reference the tests hold the
+stream to.  `sample_tables` evaluates psi, the ladder actions
 b psi_n = alpha_n psi_{n-1} and b+ psi_n = alpha_{n+1} psi_{n+1}, psi'' and
 the Legendre form of many states at sample points from one stacked fill of
 C^(nu), C^(nu+1) and C^(nu+2); `psi_form_tables` evaluates both closed
@@ -74,16 +78,20 @@ def norm0(params: ModelParams) -> float:
 
 
 def norm_tower(params: ModelParams, n_basis: int) -> np.ndarray:
-    """N_0 ... N_{n_basis-1}: N_0 from its Gamma form, then the ratio
-    N_n^2 / N_{n-1}^2 = n (n + nu) / ((n + nu - 1)(n + 2 nu - 1)) that
-    adjointness of the ladder pair fixes, multiplied out in order from N_0.
-    Each step rounds a few ulp; the Gamma form of N_n is the tests' reference."""
+    """N_0 ... N_{n_basis-1}: N_0 from its Gamma form, then the ratios
+    N_n / N_{n-1} of `_norm_steps`, multiplied out in order from N_0.  Each
+    step rounds a few ulp; the Gamma form of N_n is the tests' reference."""
     if n_basis < 1:
         raise ValueError(f"basis size must be >= 1, got {n_basis}")
-    nu = params.nu
+    return np.cumprod(np.concatenate(([norm0(params)], _norm_steps(params.nu, n_basis))))
+
+
+def _norm_steps(nu: float, n_basis: int) -> np.ndarray:
+    """r_n = N_n / N_{n-1} for n = 1 .. n_basis-1, from the ratio
+    N_n^2 / N_{n-1}^2 = n (n + nu) / ((n + nu - 1)(n + 2 nu - 1)) that
+    adjointness of the ladder pair fixes."""
     n = np.arange(1.0, n_basis)
-    steps = np.sqrt(n * (n + nu) / ((n + nu - 1.0) * (n + 2.0 * nu - 1.0)))
-    return np.cumprod(np.concatenate(([norm0(params)], steps)))
+    return np.sqrt(n * (n + nu) / ((n + nu - 1.0) * (n + 2.0 * nu - 1.0)))
 
 
 def norm_n(params: ModelParams, n: int) -> float:
@@ -199,47 +207,74 @@ def psi_value(ef: Eigenfunction, x):
 BLOCK_ROWS = 32
 
 
-def basis_blocks(params: ModelParams, n_basis: int, s: np.ndarray):
-    """The polynomial factors phi_n and phi_n' of psi_n = cos^nu(kx) phi_n(X)
-    for n = 0 .. n_basis-1 at X = s = sin(kx), yielded in blocks of
-    `BLOCK_ROWS` levels as ``(lo, hi, phi, dphi)``:
+def basis_blocks(params: ModelParams, n_basis: int, s: np.ndarray, root: np.ndarray,
+                 edge: np.ndarray):
+    """The weighted rows U_n = u phi_n and D_n = e phi_n' of the states
+    psi_n = cos^nu(kx) phi_n(X), phi_n = N_n C_n^(nu), for n = 0 ..
+    n_basis-1 at X = s = sin(kx), with u = ``root`` and e = ``edge`` two
+    columns the caller picks, constant along the levels.  They are yielded
+    in blocks of `BLOCK_ROWS` levels as ``(lo, hi, rows)``, ``rows[:, 0]``
+    holding U and ``rows[:, 1]`` holding D of the levels max(lo-1, 0) ..
+    min(hi, n_basis-1): the block's own levels lo .. hi-1 and one level on
+    either side, the window a three-term reduction of the block reads.
 
-        phi_n = N_n C_n^(nu),   phi_n' = 2 nu N_n C_{n-1}^(nu+1),
+    Both families follow three-term recurrences of their own, on the
+    normalized rows, with r_n = N_n / N_{n-1} the steps of `norm_tower`:
 
-    with N_n from `norm_tower`.  The rows of a block are the levels
-    max(lo-1, 0) .. min(hi, n_basis-1): the block's own levels lo .. hi-1
-    and one level on either side, the window a three-term reduction of the
-    block reads.  Each block resumes the Gegenbauer recurrences of index nu
-    and nu+1, stacked in one `gegenbauer_fill`, from the last two rows of
-    the previous one, so the tower costs O(n_basis * len(s)) and the stream
-    holds O(BLOCK_ROWS * len(s)).  The yielded arrays are overwritten by the
-    next block, and the consumer may overwrite them itself: the recurrence
-    resumes from storage of its own.
+        U_n = A_n X U_{n-1} - B_n U_{n-2},
+            A_n = r_n 2 (n + nu - 1) / n,  B_n = r_n r_{n-1} (n + 2 nu - 2) / n,
+        D_n = A'_n X D_{n-1} - B'_n D_{n-2}   (n >= 2),
+            A'_n = r_n 2 (n + nu - 1) / (n - 1),  B'_n = r_n r_{n-1} (n + 2 nu - 1) / (n - 1),
+
+    from U_0 = N_0 u, U_1 = 2 nu N_1 X u, D_0 = 0 and D_1 = 2 nu N_1 e: the
+    Gegenbauer recurrences of index nu and nu+1, as phi_n' = 2 nu N_n
+    C_{n-1}^(nu+1), with the norms and the columns carried in the rows.  No
+    unnormalized C_n is formed, so where u is the root of a quadrature
+    weight times cos^nu(kx) the rows are entries of a nearly orthogonal
+    matrix and stay bounded at any nu and N.  Each level is two multiplies
+    and one subtract on both families at once, A_n X formed once per block.
+
+    Each block resumes the recurrences from the last two rows of the
+    previous one, so the tower costs O(n_basis * len(s)) and the stream
+    holds O(BLOCK_ROWS * len(s)).  The yielded rows are overwritten by the
+    next block and must not be written by the consumer: the recurrence
+    resumes from them.
     """
     if n_basis < 1:
         raise ValueError(f"basis size must be >= 1, got {n_basis}")
     nu = params.nu
-    norms = norm_tower(params, n_basis)
-    dnorms = norms * (2.0 * nu)
-    shape = (min(BLOCK_ROWS + 2, n_basis), s.size)
-    gegen = np.empty((shape[0], 2, s.size))  # C_n^(nu) and C_{n-1}^(nu+1) of row n
-    phi, dphi = np.empty(shape), np.empty(shape)
+    ratio = np.concatenate(([1.0], _norm_steps(nu, n_basis)))[:, None]  # r_n at row n
+    # A and B of the levels n >= 2, for U in column 0 and for D in column 1
+    n = np.arange(2.0, n_basis)[:, None]
+    divide = n - np.array([0.0, 1.0])
+    grow, keep = np.zeros((n_basis, 2)), np.zeros((n_basis, 2, 1))
+    grow[2:] = ratio[2:] * (2.0 * (n + nu - 1.0)) / divide
+    keep[2:, :, 0] = ratio[2:] * ratio[1:-1] * (n + 2.0 * nu - np.array([2.0, 1.0])) / divide
+    count = min(BLOCK_ROWS + 2, n_basis)
+    rows = np.empty((count, 2, s.size))
+    grown = np.empty_like(rows)  # A_n X of each row and family
     scratch = np.empty((2, s.size))
-    rows = 0
+    norm = norm0(params)
+    np.multiply(root, norm, out=rows[0, 0])
+    rows[0, 1] = 0.0
+    if n_basis > 1:
+        lead = 2.0 * nu * (norm * ratio[1, 0])  # 2 nu N_1
+        np.multiply(lead * s, root, out=rows[1, 0])
+        np.multiply(edge, lead, out=rows[1, 1])
+    size = 0
     for lo in range(0, n_basis, BLOCK_ROWS):
         if lo:  # carry levels lo-1 and lo, the last two rows of the previous block
-            gegen[:2] = gegen[rows - 2:rows]
+            rows[:2] = rows[size - 2:size]
         hi = min(lo + BLOCK_ROWS, n_basis)
         first = max(lo - 1, 0)
-        rows = min(hi + 1, n_basis) - first
-        # row 0 of C^(nu+1) is C_{-1} = 0: phi_0' = 0
-        gegenbauer_fill(gegen[:rows], first, nu, s, scratch)
-        levels = slice(first, first + rows)
-        # each row times its norm; einsum needs no buffer for the strided,
-        # broadcast operands, where np.multiply takes two of 64 KB
-        np.einsum("ij,i->ij", gegen[:rows, 0], norms[levels], out=phi[:rows])
-        np.einsum("ij,i->ij", gegen[:rows, 1], dnorms[levels], out=dphi[:rows])
-        yield lo, hi, phi[:rows], dphi[:rows]
+        size = min(hi + 1, n_basis) - first
+        np.multiply(grow[first + 2:first + size, :, None], s, out=grown[2:size])
+        for row, prev, prev2, a, b in zip(rows[2:size], rows[1:size], rows[:size],
+                                          grown[2:size], keep[first + 2:first + size]):
+            np.multiply(a, prev, out=row)
+            np.multiply(b, prev2, out=scratch)
+            row -= scratch
+        yield lo, hi, rows[:size]
 
 
 def _psi_rows(params: ModelParams, s, c, phi: np.ndarray,
@@ -265,15 +300,19 @@ def _psi_rows(params: ModelParams, s, c, phi: np.ndarray,
 
 def basis_table(params: ModelParams, n_basis: int, nodes) -> tuple[np.ndarray, np.ndarray]:
     """psi_n and psi_n' for n = 0 .. n_basis-1 at the 1-d array ``nodes``,
-    one row per level: the own levels of each block of `basis_blocks`,
-    stacked, and then `_psi_rows`."""
+    one row per level, from one `gegenbauer_fill` of C^(nu) and C^(nu+1)
+    over the whole table, times the norms of `norm_tower`, and then
+    `_psi_rows`: the unnormalized Gegenbauer route, kept apart from the
+    normalized recurrence of `basis_blocks` as the tests' whole-table
+    reference for it."""
+    nu = params.nu
+    norms = norm_tower(params, n_basis)
     s, c = _trig(params, nodes)
-    phi = np.empty((n_basis, s.size))
-    dphi = np.empty_like(phi)
-    for lo, hi, block_phi, block_dphi in basis_blocks(params, n_basis, s):
-        first = max(lo - 1, 0)  # the level of the block's row 0
-        phi[lo:hi] = block_phi[lo - first:hi - first]
-        dphi[lo:hi] = block_dphi[lo - first:hi - first]
+    gegen = np.empty((n_basis, 2, s.size))  # C_n^(nu) and C_{n-1}^(nu+1) of row n
+    gegenbauer_fill(gegen, nu, s, np.empty((2, s.size)))
+    # row 0 of C^(nu+1) is C_{-1} = 0: phi_0' = 0
+    phi = np.einsum("ij,i->ij", gegen[:, 0], norms)
+    dphi = np.einsum("ij,i->ij", gegen[:, 1], norms * (2.0 * nu))
     return _psi_rows(params, s, c, phi, dphi)
 
 
@@ -312,7 +351,7 @@ def sample_tables(params: ModelParams, n_levels: int, x) -> SampleTables:
     nu, k = params.nu, params.k
     s, c = _trig(params, x)
     rows = np.empty((n_levels, 3, s.size))  # C_n^(nu), C_{n-1}^(nu+1), C_{n-2}^(nu+2)
-    gegenbauer_fill(rows, 0, nu, s, np.empty((3, s.size)))
+    gegenbauer_fill(rows, nu, s, np.empty((3, s.size)))
     legendre = _legendre_rows(params, n_levels, s, c, rows[:, 0])
     prefactors, index = [1.0], nu
     for _ in range(2):

@@ -583,6 +583,23 @@ def test_main_runs_the_legendre_form_at_large_nu(capsys):
     assert relations["legendre_form_pointwise"]["pass"]
 
 
+@pytest.mark.parametrize("basis_size, order", [(480, 1570), (600, 1810)])
+def test_main_verify_runs_where_the_unnormalized_basis_overflows(basis_size, order, capsys):
+    # C_N^(300)(1) = Gamma(N + 600) / (N! Gamma(600)) is about e^737 at
+    # N = 479 and e^827 at N = 599, beyond the largest double; the quadrature
+    # layer recurs on the root-weighted normalized rows, which stay within
+    # 1, so the run ends with a verdict and finite residuals at the floor
+    # order, not with an overflow from inside a layer
+    argv = ["verify", "--nu", "300", "--basis-size", str(basis_size),
+            "--quadrature-order", str(order)]
+    assert main(argv) in (0, 2)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    relations = json.loads(captured.out)["relations"]
+    assert len(relations) == len(TOLERANCES) - 1  # no square-well reduction off nu = 1
+    assert all(math.isfinite(r["residual"]) for r in relations)
+
+
 def test_config_rejects_units_out_of_range_at_the_top_of_the_tower():
     # eps E_n = eps^2 (n + nu)^2 grows with the basis size
     RunConfig(nu=2.0, hbar=1e76, basis_size=8)

@@ -82,11 +82,10 @@ def _one_family(n_max, nu, x):
 @pytest.mark.parametrize("count", [32, 33, 65])
 def test_stacked_families_are_the_single_family_rows(nu, count):
     # family j of the stack, index nu + j one level behind family j - 1, is
-    # the one-family tower bit for bit, whole and resumed in 32-row stretches
-    # that carry two rows over, as the basis stream resumes it
+    # the one-family tower bit for bit
     x = np.linspace(-0.999, 0.999, 41)
     whole = np.empty((count, 3, x.size))
-    gegenbauer_fill(whole, 0, nu, x, np.empty((3, x.size)))
+    gegenbauer_fill(whole, nu, x, np.empty((3, x.size)))
     index = nu
     for j in range(3):
         single = gegenbauer_row(count - 1 - j, index, x)
@@ -94,17 +93,10 @@ def test_stacked_families_are_the_single_family_rows(nu, count):
         assert np.array_equal(whole[j:, j], single)
         assert not whole[:j, j].any()  # levels below 0
         index += 1.0
-    stretched = np.empty_like(whole)
-    gegenbauer_fill(stretched[:32], 0, nu, x, np.empty((3, x.size)))
-    for first in range(30, count - 2, 30):
-        gegenbauer_fill(stretched[first:first + 32], first, nu, x, np.empty((3, x.size)))
-    assert np.array_equal(stretched, whole)
     for short in (1, 2):  # fewer rows than families
         part = np.empty((short, 3, x.size))
-        gegenbauer_fill(part, 0, nu, x, np.empty((3, x.size)))
+        gegenbauer_fill(part, nu, x, np.empty((3, x.size)))
         assert np.array_equal(part, whole[:short])
-    with pytest.raises(ValueError):  # family 2 would resume below level 1
-        gegenbauer_fill(stretched[1:10], 1, nu, x, np.empty((3, x.size)))
 
 
 # ---------------------------------------------------------------------------
