@@ -53,6 +53,7 @@ from .opmat import (
     casimir_matrices,
     check_identity_12,
     commutator,
+    default_quadrature_order,
     energy_diag,
     extended_algebra_residuals,
     grid_spectrum,
@@ -139,20 +140,27 @@ def _check_memory(flags: str, numbers: int, bytes_each: int) -> None:
                          f"{MEMORY_BUDGET_BYTES // 2**20} MB")
 
 
-def _check_strength(params: ModelParams, basis_size: int, flag: str) -> None:
-    """The one range of nu, for every command: a quadrature floor within the cap."""
+def _check_order(params: ModelParams, basis_size: int, order: int | float, flag: str) -> None:
+    """The checks every command makes at each strength it runs, the one named
+    by ``flag``, at the quadrature order ``order``: the floor within the cap,
+    the order within the cap, the order at or above the floor, and the units
+    in range."""
     cap = MAX_QUADRATURE_ORDER
-    if quadrature_floor(params, basis_size) > cap:
+    floor = quadrature_floor(params, basis_size)
+    if floor > cap:
         raise ValueError(
             f"nu = {params.nu:.6g} at N = {basis_size} puts the quadrature floor "
             f"ceil(2 max(N, {WAVEFUNCTION_STATES}) + 2nu + 10) above the maximum {cap}; lower "
             f"{flag} or --basis-size"
         )
-
-
-def _check_units(params: ModelParams, basis_size: int) -> None:
-    """b and the Casimir relations take sqrt(eps H) and eps^2; both stay in
-    double range when eps E_n = eps^2 (n + nu)^2 does for every level."""
+    if order > cap:
+        raise ValueError(f"quadrature order {order} is above the maximum {cap}; "
+                         f"lower --quadrature-order or --basis-size")
+    if order < floor:
+        raise ValueError(f"quadrature order {order} is below the minimum {floor} that "
+                         f"{flag} needs at N = {basis_size}")
+    # b and the Casimir relations take sqrt(eps H) and eps^2; both stay in
+    # double range when eps E_n = eps^2 (n + nu)^2 does for every level
     eps, top = params.epsilon, basis_size - 1
     low, high = (eps * energy(params, n) for n in (0, top))
     if not (low > 0.0 and math.isfinite(high)):
@@ -161,23 +169,6 @@ def _check_units(params: ModelParams, basis_size: int) -> None:
             f"nu = {params.nu:.6g} (eps = {eps:.3g}, eps * E_0 = {low:.3g}, "
             f"eps * E_{top} = {high:.3g})"
         )
-
-
-def _check_nu_list(nu_values: list[float], basis_size: int, order: int) -> None:
-    """Each scan-limit strength in the range of nu, and the quadrature order at
-    or above the largest floor among them."""
-    for nu in nu_values:
-        _check_strength(ModelParams(nu=nu), basis_size, "--nu-list")
-    needed = max(quadrature_floor(ModelParams(nu=nu), basis_size) for nu in nu_values)
-    if order < needed:
-        raise ValueError(f"quadrature order {order} is below the minimum {needed} that "
-                         f"--nu-list needs at N = {basis_size}")
-
-
-def _effective_order(quadrature_order: int | None, basis_size: int) -> int:
-    if quadrature_order is not None:
-        return quadrature_order
-    return 2 * max(basis_size, WAVEFUNCTION_STATES) + 60
 
 
 @dataclass(frozen=True)
@@ -213,22 +204,8 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if not 0.0 < self.tolerance_scale < math.inf:
             raise ValueError("--tolerance-scale must be positive and finite")
-        params = self.params()  # validates nu / v0 ranges
-        _check_strength(params, self.basis_size, "--nu/--v0")
-        _check_units(params, self.basis_size)
-        if self.quadrature_order is not None:
-            needed = quadrature_floor(params, self.basis_size)
-            if self.quadrature_order < needed:
-                raise ValueError(
-                    f"quadrature order {self.quadrature_order} is below the minimum {needed}"
-                )
-        order = self.effective_quadrature_order
-        if order > MAX_QUADRATURE_ORDER:
-            raise ValueError(
-                f"quadrature order {order} is above the maximum {MAX_QUADRATURE_ORDER}; "
-                f"lower --quadrature-order or --basis-size (the default order is "
-                f"2 * max(basis_size, {WAVEFUNCTION_STATES}) + 60)"
-            )
+        params = self.params()  # validates the nu / v0 ranges
+        _check_order(params, self.basis_size, self.effective_quadrature_order, "--nu/--v0")
 
     def params(self) -> ModelParams:
         if self.nu is not None:
@@ -237,7 +214,9 @@ class RunConfig:
 
     @property
     def effective_quadrature_order(self) -> int:
-        return _effective_order(self.quadrature_order, self.basis_size)
+        if self.quadrature_order is not None:
+            return self.quadrature_order
+        return default_quadrature_order(self.params(), self.basis_size)
 
     def quadrature(self, params: ModelParams):
         a, b = params.box
@@ -685,8 +664,10 @@ def _add_model_flags(parser: argparse.ArgumentParser, require_strength: bool) ->
     parser.add_argument("--k", type=float, default=1.0)
     parser.add_argument("--basis-size", type=int, default=30)
     parser.add_argument("--quadrature-order", type=int, default=None,
-                        help=f"Gauss-Legendre order "
-                             f"(default 2*max(basis_size, {WAVEFUNCTION_STATES}) + 60)")
+                        help=f"Gauss-Legendre order, from the floor "
+                             f"ceil(2*max(basis_size, {WAVEFUNCTION_STATES}) + 2*nu + 10) to "
+                             f"{MAX_QUADRATURE_ORDER} (default: the larger of the floor and "
+                             f"2*max(basis_size, {WAVEFUNCTION_STATES}) + 60)")
     parser.add_argument("--grid-points", type=int, default=2000)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -725,7 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # scan-limit has no --nu/--v0 because it sweeps its own strengths; its
-    # config is anchored at nu = 1
+    # config is anchored at nu = 1, and main checks --quadrature-order
+    # against each of them
     return RunConfig(
         nu=getattr(args, "nu", 1.0),
         v0=getattr(args, "v0", None),
@@ -733,7 +715,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         mass=args.mass,
         k=args.k,
         basis_size=args.basis_size,
-        quadrature_order=args.quadrature_order,
+        quadrature_order=None if args.subcommand == "scan-limit" else args.quadrature_order,
         grid_points=args.grid_points,
         output_format=args.format,
         out_path=args.out,
@@ -759,8 +741,6 @@ def main(argv: list[str] | None = None) -> int:
                 nu_values = [float(s) for s in str(args.nu_list).split(",") if s.strip()]
                 if not nu_values or not all(1.0 <= nu < math.inf for nu in nu_values):
                     raise ValueError("--nu-list needs comma-separated finite values, each >= 1")
-                _check_nu_list(nu_values, args.basis_size,
-                               _effective_order(args.quadrature_order, args.basis_size))
             n_max = getattr(args, "n_max", 0)
             if n_max < 0:
                 raise ValueError(f"--n-max must be >= 0, got {n_max}")
@@ -778,8 +758,16 @@ def main(argv: list[str] | None = None) -> int:
                                  f"{args.grid_points} points of --grid-points")
             config = _config_from_args(args)
             if args.subcommand == "scan-limit":
-                for nu in nu_values:
-                    _check_units(replace(config.params(), nu=nu), config.basis_size)
+                # every row at one order, --quadrature-order or the largest
+                # default, checked at each strength, the largest floor first
+                base = config.params()
+                order = args.quadrature_order
+                if order is None:
+                    order = max(default_quadrature_order(replace(base, nu=nu), config.basis_size)
+                                for nu in nu_values)
+                for nu in sorted(nu_values, reverse=True):
+                    _check_order(replace(base, nu=nu), config.basis_size, order, "--nu-list")
+                config = replace(config, quadrature_order=order)
 
             if args.subcommand == "verify":
                 report = run_verification(config)

@@ -53,6 +53,7 @@ __all__ = [
     "MAX_QUADRATURE_ORDER",
     "WAVEFUNCTION_STATES",
     "quadrature_floor",
+    "default_quadrature_order",
     "quadrature_XP",
     "build_X",
     "build_P",
@@ -260,6 +261,13 @@ def quadrature_floor(params: ModelParams, n_basis: int) -> int | float:
     return math.ceil(floor) if math.isfinite(floor) else floor
 
 
+def default_quadrature_order(params: ModelParams, n_basis: int) -> int | float:
+    """The order a run takes when none is given: 2 max(N, 21) + 60, raised to
+    `quadrature_floor` where 2 nu + 10 passes 60 (nu > 25); infinite where
+    the floor is."""
+    return max(2 * max(n_basis, WAVEFUNCTION_STATES) + 60, quadrature_floor(params, n_basis))
+
+
 def _check_rule(params: ModelParams, n_basis: int, rule: QuadratureRule) -> None:
     if n_basis < 2:
         raise ValueError(f"basis size must be >= 2, got {n_basis}")
@@ -407,7 +415,8 @@ def quadrature_XP(params: ModelParams, n_basis: int, rule: QuadratureRule
     if resid > 1e-8 * scale:
         raise QuadratureOrderError(
             f"momentum matrix fails Hermiticity at {resid:.3e} ({resid / scale:.3e} of "
-            f"hbar k^2); increase the quadrature order"
+            f"hbar k^2) at quadrature order {rule.order}; a higher order, up to the maximum "
+            f"{MAX_QUADRATURE_ORDER}, or a lower nu or basis size may help"
         )
     return OperatorMatrix(x_band), p_op, x_defect, p_defect
 

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptdeform
 from ptdeform import cli, opmat, specfun, wavefun
@@ -37,7 +40,7 @@ from ptdeform.cli import (
     render_payload,
     run_verification,
 )
-from ptdeform.opmat import MAX_QUADRATURE_ORDER, quadrature_floor
+from ptdeform.opmat import MAX_QUADRATURE_ORDER, default_quadrature_order, quadrature_floor
 
 
 @pytest.fixture(scope="module")
@@ -202,8 +205,8 @@ def test_the_paper_relations_hold_at_n480(nu):
     # norms over the tower; with N_n a few ulp per level from the algebraic
     # ratio they read about 3e-9 against 1e-8 at N = 480
     n = 480
-    order = max(2 * n + 60, math.ceil(2 * n + 2 * nu + 10))
-    report = run_verification(RunConfig(nu=nu, basis_size=n, quadrature_order=order))
+    report = run_verification(RunConfig(nu=nu, basis_size=n))
+    assert report.model["quadrature_order"] == default_quadrature_order(ModelParams(nu=nu), n)
     relations = {r.name: r for r in report.relations}
     for name in ("corrected_f_commutator", "casimir_forms_agree", "su11_jplus_jminus"):
         assert relations[name].passed, (name, relations[name].residual)
@@ -479,7 +482,8 @@ def test_main_rejects_non_finite_input(argv, flag, capsys):
          "--quadrature-order or --basis-size"),
         # the default order 2N + 60 above the cap, the floor 4052 below it
         (["verify", "--nu", "2", "--basis-size", "2019"], "--quadrature-order or --basis-size"),
-        (["verify", "--nu", "50"], "below the required 170"),  # default order 120
+        # an explicit order below the floor; the default order is the floor
+        (["verify", "--nu", "50", "--quadrature-order", "169"], "below the minimum 170"),
         # more strengths whose quadrature floor is above the cap, for every
         # command: rejected by RunConfig, or per --nu-list value in main
         (["verify", "--nu", "2", "--basis-size", "100000"], "lower --nu/--v0 or --basis-size"),
@@ -495,7 +499,8 @@ def test_main_rejects_non_finite_input(argv, flag, capsys):
          "below the minimum 76 that --nu-list needs"),
         (["scan-limit", "--nu-list", "1,3", "--quadrature-order", "72"],
          "below the minimum 76 that --nu-list needs"),
-        (["scan-limit", "--nu-list", "1,50"], "below the minimum 170 that --nu-list needs"),
+        (["scan-limit", "--nu-list", "1,50", "--quadrature-order", "169"],
+         "below the minimum 170 that --nu-list needs"),
         (["scan-limit", "--hbar", "1e76", "--nu-list", "1,2000", "--quadrature-order", "4070"],
          "--hbar, --mass and --k"),
         # sizes whose tables or grid pass the memory budget, rejected before
@@ -518,6 +523,57 @@ def test_main_rejects_out_of_range_input(argv, needle, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("ptdeform: error:")
     assert needle in err[0] and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["verify", "--nu", "50"], 170),
+        (["ladder", "--nu", "40"], 150),
+        (["scan-limit", "--nu-list", "1,50"], 170),
+        # every row at the one order echoed, the largest default of the list
+        (["scan-limit", "--nu-list", "50,1,30"], 170),
+        (["scan-limit", "--nu-list", "1,50", "--quadrature-order", "171"], 171),
+    ],
+)
+def test_main_runs_at_the_floor_above_nu_25_by_default(argv, order, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["model"]["quadrature_order"] == order
+    if argv[0] == "verify":
+        assert payload["overall_pass"] and len(payload["relations"]) == 42
+
+
+def test_main_names_the_cap_where_no_order_holds_p_hermitian(capsys):
+    # the floor 4010 is within the cap, but the P band misses Hermiticity
+    # there (2.8e-4 of hbar k^2) and at every order up to the cap
+    assert main(["verify", "--nu", "1000", "--basis-size", "1000"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ptdeform: error: momentum matrix")
+    assert "order 4010" in err[0] and "maximum 4096" in err[0]
+    assert "lower nu or basis size" in err[0] and captured.out == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=st.floats(0.0, math.log(1e4)).map(math.exp),
+       basis_size=st.integers(8, 3000),
+       quadrature_order=st.none() | st.integers(0, 2 * MAX_QUADRATURE_ORDER))
+def test_config_order_is_within_floor_and_cap_or_names_a_flag(nu, basis_size,
+                                                              quadrature_order):
+    # validation only: no rule is built
+    try:
+        config = RunConfig(nu=nu, basis_size=basis_size, quadrature_order=quadrature_order)
+    except ValueError as exc:
+        assert re.search(r"--(nu/--v0|basis-size|quadrature-order)\b", str(exc)), exc
+        return
+    order = config.effective_quadrature_order
+    params = ModelParams(nu=nu)
+    assert quadrature_floor(params, basis_size) <= order <= MAX_QUADRATURE_ORDER
+    if quadrature_order is None:
+        assert order == default_quadrature_order(params, basis_size)
 
 
 def test_main_reports_arithmetic_errors_in_one_line(monkeypatch, capsys):

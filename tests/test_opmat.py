@@ -340,10 +340,17 @@ def _root(params, nodes, weights):
 
 
 def _rule(params, n_basis):
-    """The default order raised to the floor: max(2 max(N, 21) + 60, floor)."""
-    order = max(2 * max(n_basis, opmat.WAVEFUNCTION_STATES) + 60,
-                opmat.quadrature_floor(params, n_basis))
-    return gauss_legendre(order, *params.box)
+    """The rule of a run at the default order."""
+    return gauss_legendre(opmat.default_quadrature_order(params, n_basis), *params.box)
+
+
+@pytest.mark.parametrize("n_basis", [30, 60, 480])
+def test_default_order_is_the_floor_above_nu_25(n_basis):
+    # the order a benchmark or sweep passes explicitly at N >= 21
+    for nu in np.linspace(1.0, 50.0, 99):
+        params = ModelParams(nu=float(nu))
+        expected = max(2 * n_basis + 60, math.ceil(2 * n_basis + 2 * nu + 10))
+        assert opmat.default_quadrature_order(params, n_basis) == expected
 
 
 def _gamma(order):
@@ -704,7 +711,7 @@ def test_quadrature_builders_hold_few_tables():
     # (32 + 2) x Q window of `basis_blocks` on the whole rule.
     # `quadrature_XP` reduces each block as it arrives, on the (Q+1)//2
     # nonnegative nodes, so its peak is a fixed number of block buffers at
-    # every N (measured 4.6 at N = 240 and 4.2 at N = 1500) and a small
+    # every N (measured 5.16 at N = 240 and 4.40 at N = 1500) and a small
     # share of a table (0.10 at N = 1500).  One more N x Q array, 7.1 block
     # buffers at N = 240, does not fit under these bounds.
     params = ModelParams(nu=3.7)

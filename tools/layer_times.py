@@ -123,6 +123,8 @@ def _child(src: str, n_basis: int, nu: float, reps: int) -> dict:
 
     params = cli.ModelParams(nu=nu)
     levels = max(n_basis, opmat.WAVEFUNCTION_STATES)
+    # written out, not read from `opmat.default_quadrature_order`: the tool
+    # also times checkouts older than that function
     order = max(2 * levels + 60, opmat.quadrature_floor(params, n_basis))
     config = cli.RunConfig(nu=nu, basis_size=n_basis, quadrature_order=order)
     cli.run_verification(config)

@@ -62,6 +62,8 @@ def main(argv: list[str]) -> int:
 
     for n, nu, flags, extra in configs():
         levels = max(n, 21)
+        # written out, not read from `opmat.default_quadrature_order`: the
+        # sweep also runs checkouts older than that function
         order = max(2 * levels + 60, math.ceil(2 * levels + 2 * nu + 10))
         head = f"{n} {nu!r} {flags}"
         try:
